@@ -112,13 +112,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             cfg.update_from_text(fh.read(), source=args.config)
-    for name in (
-        "k_lex", "k_trans", "levels", "cutoff", "known_threshold",
-        "support_epsilon", "class_mix", "threshold", "mode", "seed",
-    ):
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 

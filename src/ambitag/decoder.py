@@ -49,16 +49,10 @@ def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohor
     ]
     b = trans.space.boundary_id
     init = trans.row(b, b).take(ids[0])
-    tensors = []
-    prev_ids = [b]
-    for t in range(len(cohorts) - 1):
-        cur_ids, next_ids = ids[t], ids[t + 1]
-        m = np.empty((len(prev_ids), len(cur_ids), len(next_ids)))
-        for i, a in enumerate(prev_ids):
-            for j, bb in enumerate(cur_ids):
-                m[i, j, :] = trans.row(a, bb).take(next_ids)
-        tensors.append(m)
-        prev_ids = cur_ids
+    prev_ids = [[b]] + ids[:-2]
+    tensors = [
+        trans.probs[np.ix_(prev, cur, nxt)] for prev, cur, nxt in zip(prev_ids, ids, ids[1:])
+    ]
     return Lattice(cohorts, cand, ids, aprime, init, tensors)
 
 
@@ -106,12 +100,11 @@ def tag_posteriors(lattice: Lattice, gammas: list[np.ndarray]) -> list[dict[int,
     return out
 
 
+@np.errstate(divide="ignore")
 def viterbi(lattice: Lattice) -> tuple[list[int], float]:
     """Most probable tag-id sequence and its log score."""
-    with np.errstate(divide="ignore"):
-        log_ap = [np.log(ap) for ap in lattice.aprime]
-        score = (np.log(lattice.init) + log_ap[0])[None, :]
-        log_tensors = [np.log(m) for m in lattice.tensors]
+    log_ap = [np.log(ap) for ap in lattice.aprime]
+    score = (np.log(lattice.init) + log_ap[0])[None, :]
     backptr: list[np.ndarray] = []
     for t in range(1, len(lattice.cohorts)):
         if not np.isfinite(score.max()):
@@ -119,7 +112,8 @@ def viterbi(lattice: Lattice) -> tuple[list[int], float]:
                 f"dead lattice at position {t} "
                 f"({lattice.cohorts[t - 1].token.surface!r}): no path has nonzero probability"
             )
-        combined = score[:, :, None] + log_tensors[t - 1]
+        combined = np.log(lattice.tensors[t - 1])  # one step's block at a time
+        combined += score[:, :, None]
         backptr.append(combined.argmax(axis=0))  # first max = smallest predecessor
         score = combined.max(axis=0) + log_ap[t][None, :]
     best_logp = float(score.max())

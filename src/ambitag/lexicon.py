@@ -23,7 +23,7 @@ from .corpus import (
     AnnotatedSentence,
     word_shape,
 )
-from .errors import ConfigError, InconsistentPriorError
+from .errors import ConfigError, InconsistentPriorError, TagInventoryError
 from .tagset import PUNCTUATION, WORD, Tag, TagSet
 
 
@@ -76,13 +76,18 @@ class TrieNode:
         return node
 
     def aggregate(self) -> None:
-        counts = dict(self.term_counts)
-        for child in self.children.values():
-            child.aggregate()
-            for t, c in child.tag_counts.items():
-                counts[t] = counts.get(t, 0) + c
-        self.tag_counts = counts
-        self.total = sum(counts.values())
+        """Fill tag_counts and total for the whole subtree.  Iterative, so a
+        long surface cannot exhaust the recursion limit."""
+        order = [self]
+        for node in order:  # breadth-first: the list grows while it is read
+            order.extend(node.children.values())
+        for node in reversed(order):  # children before their parent
+            counts = dict(node.term_counts)
+            for child in node.children.values():
+                for t, c in child.tag_counts.items():
+                    counts[t] = counts.get(t, 0) + c
+            node.tag_counts = counts
+            node.total = sum(counts.values())
 
 
 class LexicalModel:
@@ -111,7 +116,7 @@ class LexicalModel:
     ) -> "LexicalModel":
         model = cls(tagset, config)
         n = len(tagset)
-        word_idx = [t.index for t in tagset.word_tags()]
+        word_idx = model._word_tag_ids()
         punct_idx = [t.index for t in tagset.punctuation_tags()]
 
         # Surfaces that ever carry a punctuation tag resolve to the
@@ -159,9 +164,7 @@ class LexicalModel:
         elif punct_idx:
             model.punct_priors[punct_idx] = 1.0 / len(punct_idx)
 
-        model._word_support = [i for i in word_idx if model.priors[i] > 0]
-        model._anchor = np.zeros(n)
-        model._anchor[model._word_support] = 1.0 / len(model._word_support)
+        model._finish()
 
         # Shape-class distributions (word-tagged tokens only).
         cap = np.zeros(n)
@@ -185,6 +188,19 @@ class LexicalModel:
             "infrequent": infreq_dist,
         }
         return model
+
+    def _word_tag_ids(self) -> list[int]:
+        ids = [t.index for t in self.tagset.word_tags()]
+        if not ids:
+            raise TagInventoryError("tag inventory has no word tags")
+        return ids
+
+    def _finish(self) -> None:
+        """Derive the supported word tags and the anchor from the priors."""
+        self._word_support = [i for i in self._word_tag_ids() if self.priors[i] > 0]
+        self._anchor = np.zeros(len(self.tagset))
+        if self._word_support:
+            self._anchor[self._word_support] = 1.0 / len(self._word_support)
 
     # -- lookup ------------------------------------------------------------
 

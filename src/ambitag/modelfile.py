@@ -3,7 +3,7 @@
 Layout: an ``ambitag-lex v1`` section (tag inventory, smoothing config,
 priors, shape-class distributions, punctuation table, depth-first trie
 dump) followed by an ``ambitag-trans v1`` section (blend strength and raw
-trigram counts; the lower N-gram levels are marginals recomputed on load).
+trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
 is byte-identical.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .lexicon import LexicalModel, SmoothingConfig, TrieNode
-from .ngram import TransitionModel
+from .ngram import StateSpace, TransitionModel
 from .tagset import TagSet
 
 LEX_HEADER = "ambitag-lex v1"
@@ -38,14 +38,20 @@ def _dec_char(field: str) -> str:
     return field
 
 
-def _dump_trie(node: TrieNode, depth: int, symbols: list[str], lines: list[str]) -> None:
-    for ch in sorted(node.children):
-        child = node.children[ch]
-        parts = [str(depth + 1), _enc_char(ch)]
-        for t in sorted(child.term_counts):
-            parts += [symbols[t], str(child.term_counts[t])]
-        lines.append(" ".join(parts))
-        _dump_trie(child, depth + 1, symbols, lines)
+def _dump_trie(root: TrieNode, symbols: list[str]) -> list[str]:
+    """Pre-order, children in character order.  Iterative, so a long
+    surface cannot exhaust the recursion limit."""
+    lines: list[str] = []
+    stack = [(0, root)]
+    while stack:
+        depth, node = stack.pop()
+        stack += [(depth + 1, node.children[ch]) for ch in sorted(node.children, reverse=True)]
+        if depth:
+            parts = [str(depth), _enc_char(node.char)]
+            for t in sorted(node.term_counts):
+                parts += [symbols[t], str(node.term_counts[t])]
+            lines.append(" ".join(parts))
+    return lines
 
 
 def _dist_lines(header: str, vec: np.ndarray, symbols: list[str]) -> list[str]:
@@ -79,8 +85,7 @@ def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
         row = lex.punct_table[surface]
         pairs = " ".join(f"{symbols[t]} {row[t]}" for t in sorted(row))
         lines.append(f"{surface}\t{pairs}")
-    trie_lines: list[str] = []
-    _dump_trie(lex.root, 0, symbols, trie_lines)
+    trie_lines = _dump_trie(lex.root, symbols)
     lines.append(f"trie {len(trie_lines)}")
     lines += trie_lines
 
@@ -194,24 +199,25 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
             # path spells the surface backwards
             lex.word_counts[paths[-1][::-1]] = sum(node.term_counts.values())
     lex.root.aggregate()
-
-    word_idx = [t.index for t in tagset.word_tags()]
-    lex._word_support = [i for i in word_idx if lex.priors[i] > 0]
-    lex._anchor = np.zeros(len(tagset))
-    if lex._word_support:
-        lex._anchor[lex._word_support] = 1.0 / len(lex._word_support)
+    lex._finish()
 
     cur.expect(TRANS_HEADER)
     k_trans = float(cur.expect("config k ").split()[2])
-    trans = TransitionModel(tagset, k_trans)
+    space = StateSpace(tagset)
+    trigrams: dict[tuple[int, int, int], int] = {}
     n_tri = int(cur.expect("trigrams ").split()[1])
     for _ in range(n_tri):
         fields = cur.next().split()
         if len(fields) != 4:
             raise ModelFormatError(f"line {cur.pos}: bad trigram line")
-        a, b, c = (trans.space.symbol_id(s) for s in fields[:3])
-        trans.add_trigram(a, b, c, int(fields[3]))
-    trans.finalize()
+        count = int(fields[3]) if fields[3].isdecimal() else 0
+        if count == 0:
+            raise ModelFormatError(
+                f"line {cur.pos}: trigram count {fields[3]!r} is not a positive integer"
+            )
+        key = tuple(space.symbol_id(s) for s in fields[:3])
+        trigrams[key] = trigrams.get(key, 0) + count
+    trans = TransitionModel(tagset, k_trans, trigrams)
     while not cur.done:
         if cur.next().strip():
             raise ModelFormatError(f"line {cur.pos}: trailing content in model file")

@@ -6,26 +6,28 @@ only when b == b'.  Counting pads each sentence as  ⊥ ⊥ t1 .. tn ⊥ , givin
 n+1 trigram windows per sentence.  P(c | a,b) blends the trigram relative
 frequency with the bigram level, which blends with the unigram level, which
 blends with the uniform distribution over the alphabet (tags plus the
-boundary symbol), all with the same rule the lexicon uses.
+boundary symbol), all with the same rule the lexicon uses.  The lower
+levels are marginals of the trigram counts, so every level is a proper
+conditional; the blended model is one dense array P[a, b, c].
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
 from .errors import ConfigError
-from .tagset import Tag, TagSet
+from .tagset import TagSet
 
 BOUNDARY = "<s>"
 
 
 class StateSpace:
-    """Tag-pair states over the alphabet of tags plus the boundary symbol.
+    """The alphabet of tags plus the boundary symbol.
 
-    Alphabet ids 0..N-1 are tag indices; id N is the boundary.  States are
-    ordered row-major by (prev, cur), so state_index is also the
-    deterministic tie-break order.
+    Alphabet ids 0..N-1 are tag indices; id N is the boundary.
     """
 
     def __init__(self, tagset: TagSet):
@@ -43,133 +45,58 @@ class StateSpace:
             return self.boundary_id
         return self.tagset.tag(name).index
 
-    def state_index(self, prev: int, cur: int) -> int:
-        if not (0 <= prev < self.n_symbols and 0 <= cur < self.n_symbols):
-            raise ConfigError(f"state ({prev},{cur}) outside the state space")
-        return prev * self.n_symbols + cur
 
-    def state_pair(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.n_symbols)
-
-    def emit_tag(self, state: tuple[int, int]) -> Tag | None:
-        """The tag a state emits (its current symbol); None for the boundary."""
-        cur = state[1]
-        if cur == self.boundary_id:
-            return None
-        return self.tagset.by_index(cur)
-
-    @property
-    def states(self) -> list[tuple[int, int]]:
-        n = self.n_symbols
-        return [(p, c) for p in range(n) for c in range(n)]
+def _blend(counts: np.ndarray, parent: np.ndarray, k: float) -> np.ndarray:
+    """(count + k·parent) / (context + k) along the last axis; an empty
+    context with k=0 defers to the parent."""
+    ctx = counts.sum(axis=-1, keepdims=True) + k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ctx == 0, parent, (counts + k * parent) / ctx)
 
 
 class TransitionModel:
-    def __init__(self, tagset: TagSet, k: float = 1.0):
+    def __init__(
+        self,
+        tagset: TagSet,
+        k: float = 1.0,
+        trigrams: dict[tuple[int, int, int], int] | None = None,
+    ):
         if k < 0:
             raise ConfigError(f"blend strength must be >= 0, got {k}")
         self.space = StateSpace(tagset)
         self.k = float(k)
-        self.trigrams: dict[tuple[int, int, int], int] = {}
-        # Lower levels are marginals of the trigram counts, so every
-        # blending level is a proper conditional and rows sum to one.
-        self._bi: dict[tuple[int, int], int] = {}
-        self._bi_ctx: dict[tuple[int, int], int] = {}
-        self._uni: dict[int, int] = {}
-        self._uni_ctx: dict[int, int] = {}
-        self._total = 0
-        self._unigram_dist: np.ndarray | None = None
-        self._bigram_rows: dict[int, np.ndarray] = {}
-        self._rows: dict[tuple[int, int], np.ndarray] = {}
+        self.trigrams = trigrams or {}
 
     @classmethod
     def train(
         cls, corpus: list[AnnotatedSentence], tagset: TagSet, k: float = 1.0
     ) -> "TransitionModel":
-        model = cls(tagset, k)
-        b = model.space.boundary_id
+        b = StateSpace(tagset).boundary_id
+        trigrams: dict[tuple[int, int, int], int] = {}
         for sent in corpus:
             seq = [b, b] + [t.index for t in sent.gold] + [b]
-            for i in range(len(seq) - 2):
-                model.add_trigram(seq[i], seq[i + 1], seq[i + 2])
-        model.finalize()
-        return model
+            for key in zip(seq, seq[1:], seq[2:]):
+                trigrams[key] = trigrams.get(key, 0) + 1
+        return cls(tagset, k, trigrams)
 
-    def add_trigram(self, a: int, bb: int, c: int, count: int = 1) -> None:
-        key = (a, bb, c)
-        self.trigrams[key] = self.trigrams.get(key, 0) + count
-
-    def finalize(self) -> None:
-        self._bi.clear()
-        self._bi_ctx.clear()
-        self._uni.clear()
-        self._uni_ctx.clear()
-        self._rows.clear()
-        self._bigram_rows.clear()
-        self._unigram_dist = None
-        total = 0
-        for (a, bb, c), n in self.trigrams.items():
-            self._bi[(bb, c)] = self._bi.get((bb, c), 0) + n
-            self._bi_ctx[(a, bb)] = self._bi_ctx.get((a, bb), 0) + n
-            total += n
-        for (bb, c), n in self._bi.items():
-            self._uni[c] = self._uni.get(c, 0) + n
-            self._uni_ctx[bb] = self._uni_ctx.get(bb, 0) + n
-        self._total = total
-
-    # -- blended levels ------------------------------------------------------
-
-    def _uniform(self) -> np.ndarray:
+    # Built on first use rather than in __init__: `train` never decodes, and
+    # at 83 tags the array is 84^3 floats (4.7 MB) it would only carry around.
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """P[a, b, c] = P(next symbol c | previous two symbols a, b)."""
         n = self.space.n_symbols
-        return np.full(n, 1.0 / n)
-
-    def unigram_dist(self) -> np.ndarray:
-        if self._unigram_dist is None:
-            parent = self._uniform()
-            if self._total + self.k == 0:
-                self._unigram_dist = parent
-            else:
-                v = parent * self.k
-                for c, n in self._uni.items():
-                    v[c] += n
-                self._unigram_dist = v / (self._total + self.k)
-        return self._unigram_dist
-
-    def bigram_row(self, bb: int) -> np.ndarray:
-        row = self._bigram_rows.get(bb)
-        if row is None:
-            parent = self.unigram_dist()
-            ctx = self._uni_ctx.get(bb, 0)
-            if ctx + self.k == 0:
-                row = parent
-            else:
-                v = parent * self.k
-                for c in range(self.space.n_symbols):
-                    n = self._bi.get((bb, c), 0)
-                    if n:
-                        v[c] += n
-                row = v / (ctx + self.k)
-            self._bigram_rows[bb] = row
-        return row
+        counts = np.zeros((n, n, n))
+        if self.trigrams:
+            counts[tuple(np.array(list(self.trigrams)).T)] = list(self.trigrams.values())
+        p = np.full(n, 1.0 / n)
+        for level in (counts.sum(axis=(0, 1)), counts.sum(axis=0), counts):
+            p = _blend(level, p, self.k)
+        p.setflags(write=False)
+        return p
 
     def row(self, a: int, bb: int) -> np.ndarray:
         """P(next symbol | previous two symbols a, b) over the alphabet."""
-        key = (a, bb)
-        row = self._rows.get(key)
-        if row is None:
-            parent = self.bigram_row(bb)
-            ctx = self._bi_ctx.get(key, 0)
-            if ctx + self.k == 0:
-                row = parent
-            else:
-                v = parent * self.k
-                for c in range(self.space.n_symbols):
-                    n = self.trigrams.get((a, bb, c), 0)
-                    if n:
-                        v[c] += n
-                row = v / (ctx + self.k)
-            self._rows[key] = row
-        return row
+        return self.probs[a, bb]
 
     def transition_prob(self, s_from: tuple[int, int], s_to: tuple[int, int]) -> float:
         n = self.space.n_symbols

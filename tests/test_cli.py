@@ -88,6 +88,16 @@ class TestTrain:
         )
         assert rc == 2
 
+    def test_punctuation_only_inventory_is_exit_2(self, ws, capsys):
+        (ws / "punct.tags").write_text("@dot\n", encoding="utf-8")
+        (ws / "punct.txt").write_text(".\t@dot\n", encoding="utf-8")
+        rc = main(
+            ["train", str(ws / "punct.txt"), "--tagset", str(ws / "punct.tags"),
+             "--model", str(ws / "m.txt")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tag inventory has no word tags\n"
+
 
 class TestTag:
     def test_default_threshold_fully_disambiguates(self, ws):
@@ -155,6 +165,18 @@ class TestTag:
         assert rc == 0
         assert "leaving ambiguous" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "aa\tN\naa\tN\n"
+
+    def test_bad_trigram_count_is_exit_2(self, ws, capsys):
+        model = ws / train_model(ws)
+        lines = model.read_text(encoding="utf-8").splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("trigrams ")) + 1
+        lines[idx] = lines[idx].rsplit(" ", 1)[0] + " x"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["tag", str(ws / "input.cohorts"), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "'x' is not a positive integer" in err
+        assert err.count("\n") == 1
 
 
 class TestEval:

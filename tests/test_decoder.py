@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ambitag.decoder import (
 from ambitag.errors import DeadLatticeError
 from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.ngram import TransitionModel
+from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import parse_tagset
 
 from oracles import brute_force_decode, path_weight
@@ -324,3 +326,34 @@ class TestCohortConstruction:
         cohorts = [Cohort(Token("wa"), [TS.tag("C"), TS.tag("A")])]
         lattice = build_lattice(lex, trans, cohorts)
         assert [t.symbol for t in lattice.cand[0]] == ["A", "C"]
+
+
+class TestLatticeBlocks:
+    def _dense_lattice(self, n_tags=30, n_words=40):
+        hmm = build_synthetic_hmm(n_tags=n_tags, vocab=200, seed=1)
+        corpus = sample_corpus(hmm, 2000, seed=2)
+        lex = LexicalModel.train(corpus, hmm.tagset)
+        trans = TransitionModel.train(corpus, hmm.tagset)
+        tags = list(hmm.tagset.word_tags())
+        toks = [tok for sent in corpus for tok in sent.tokens][:n_words]
+        return build_lattice(lex, trans, [Cohort(tok, tags) for tok in toks]), trans
+
+    def test_blocks_gather_the_transition_rows(self):
+        lattice, trans = self._dense_lattice(n_tags=6, n_words=5)
+        prev_ids = [[trans.space.boundary_id]] + lattice.ids[:-2]
+        for t, block in enumerate(lattice.tensors):
+            for i, a in enumerate(prev_ids[t]):
+                for j, bb in enumerate(lattice.ids[t]):
+                    assert np.array_equal(block[i, j], trans.row(a, bb)[lattice.ids[t + 1]])
+
+    def test_viterbi_holds_a_few_blocks_not_one_per_position(self):
+        lattice, _ = self._dense_lattice()
+        block_bytes = lattice.tensors[1].nbytes  # (30, 30, 30) float64
+        tracemalloc.start()
+        try:
+            viterbi(lattice)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lattice.tensors) == 39
+        assert peak < 4 * block_bytes

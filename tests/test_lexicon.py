@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambitag.corpus import parse_annotated
-from ambitag.errors import ConfigError, InconsistentPriorError
+from ambitag.errors import ConfigError, InconsistentPriorError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
 from ambitag.tagset import parse_tagset
 
@@ -210,6 +210,13 @@ class TestDegenerate:
             assert model.priors[t.index] == 0.5
             assert model.converse_lexical_prob("anything", t) == pytest.approx(1.0)
         assert [t.symbol for t in model.candidate_tags("anything")] == ["N", "V"]
+
+    def test_punctuation_only_inventory_rejected(self):
+        ts = parse_tagset("@dot\n@comma\n")
+        corpus = parse_annotated(".\t@dot\n,\t@comma\n", ts)
+        for sents in (corpus, []):
+            with pytest.raises(TagInventoryError, match="no word tags"):
+                LexicalModel.train(sents, ts)
 
     def test_inconsistent_prior_raises(self):
         model = LexicalModel(TS2)

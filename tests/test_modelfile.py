@@ -198,3 +198,34 @@ class TestFormatErrors:
         lines[idx] = "N V"
         with pytest.raises(ModelFormatError, match="trigram"):
             loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", ["x", "0", "-3", "1.5", "+2"])
+    def test_bad_trigram_count(self, count):
+        lines = self.dump().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("trigrams")) + 1
+        lines[idx] = lines[idx].rsplit(" ", 1)[0] + " " + count
+        with pytest.raises(ModelFormatError, match=f"line {idx + 1}: trigram count"):
+            loads_model("\n".join(lines) + "\n")
+
+    def test_punctuation_only_inventory(self):
+        ts = parse_tagset("@dot\n@comma\n")
+        lex = LexicalModel(ts)
+        lex.class_dists = {n: np.zeros(2) for n in ("capitalized", "all-caps", "infrequent")}
+        text = dumps_model(lex, TransitionModel(ts))
+        with pytest.raises(TagInventoryError, match="no word tags"):
+            loads_model(text)
+
+
+class TestLongSurface:
+    def test_1500_character_token(self):
+        long = "ab" * 750
+        corpus = parse_annotated(f"the\tN\n{long}\tV\n.\t@dot\n", TS)
+        lex = LexicalModel.train(corpus, TS)
+        trans = TransitionModel.train(corpus, TS)
+        text = dumps_model(lex, trans)
+        lex2, trans2 = loads_model(text)
+        assert dumps_model(lex2, trans2) == text
+        assert lex2.is_known(long)
+        toks = [Token("the"), Token(long), Token(".")]
+        decode = decode_sentence(lex2, trans2, cohorts_for_tokens(lex2, toks))
+        assert TS.by_index(decode.viterbi_ids[1]).symbol == "V"

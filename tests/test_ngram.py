@@ -30,25 +30,6 @@ class TestStateSpace:
         assert sp.symbol_name(0) == "A"
         assert sp.symbol_id("C") == 2
 
-    def test_state_index_row_major(self):
-        sp = StateSpace(TS3)
-        assert sp.state_index(0, 0) == 0
-        assert sp.state_index(1, 2) == 6
-        assert sp.state_pair(6) == (1, 2)
-        assert [sp.state_index(p, c) for p, c in sp.states] == list(range(16))
-
-    def test_state_index_range_checked(self):
-        sp = StateSpace(TS3)
-        with pytest.raises(ConfigError):
-            sp.state_index(4, 0)
-        with pytest.raises(ConfigError):
-            sp.state_index(0, -1)
-
-    def test_emit_tag(self):
-        sp = StateSpace(TS3)
-        assert sp.emit_tag((3, 1)).symbol == "B"
-        assert sp.emit_tag((1, 3)) is None
-
 
 class TestCounting:
     def test_single_sentence_padding(self):
@@ -89,7 +70,7 @@ class TestBlending:
         model = _train(text, k=k)
         for a, bb, c in itertools.product(range(4), repeat=3):
             want = blended_transition_oracle(model.trigrams, 4, k, a, bb, c)
-            assert model.row(a, bb)[c] == pytest.approx(want, abs=1e-12)
+            assert model.row(a, bb)[c] == want  # same arithmetic, so bit for bit
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 10.0])
     def test_rows_sum_to_one(self, k):
@@ -97,14 +78,22 @@ class TestBlending:
         for a in range(4):
             for bb in range(4):
                 assert model.row(a, bb).sum() == pytest.approx(1.0, abs=1e-12)
-        assert model.unigram_dist().sum() == pytest.approx(1.0, abs=1e-12)
+        # C never occurs in CORPORA[0], so context (C,C) falls through to the
+        # unigram level
+        unigram = _train(self.CORPORA[0], k=k).row(2, 2)
+        assert unigram.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unseen_context_with_k_zero_falls_back(self):
         model = _train("a\tA\nb\tB\n", k=0.0)
-        # (A,A) never occurs: trigram and bigram rows defer to lower levels
-        assert np.array_equal(model.row(0, 0), model.bigram_row(0))
+        # (A,A) never occurs: the row is the bigram level after A, and A is
+        # only ever followed by B
+        assert np.array_equal(model.row(0, 0), [0.0, 1.0, 0.0, 0.0])
         # symbol C never occurs at all: row equals raw unigram frequencies
-        assert np.array_equal(model.row(2, 2), model.unigram_dist())
+        # (one window each ends in A, B and the boundary)
+        assert np.array_equal(model.row(2, 2), [1 / 3, 1 / 3, 0.0, 1 / 3])
+        for a, bb in ((0, 0), (2, 2)):
+            want = [blended_transition_oracle(model.trigrams, 4, 0.0, a, bb, c) for c in range(4)]
+            assert np.array_equal(model.row(a, bb), want)
 
     def test_large_k_approaches_uniform(self):
         model = _train(self.CORPORA[1], k=1e9)
@@ -113,15 +102,18 @@ class TestBlending:
                 assert model.row(a, bb) == pytest.approx(np.full(4, 0.25), abs=1e-6)
 
     def test_empty_corpus_is_uniform(self):
-        model = TransitionModel.train([], TS3, k=1.0)
-        assert model.unigram_dist() == pytest.approx(np.full(4, 0.25))
-        assert model.row(0, 1) == pytest.approx(np.full(4, 0.25))
+        for k in (0.0, 1.0):
+            model = TransitionModel.train([], TS3, k=k)
+            assert model.probs == pytest.approx(np.full((4, 4, 4), 0.25))
 
     def test_blend_shifts_toward_parent_as_k_grows(self):
         text = self.CORPORA[1]
-        rows = [_train(text, k=k).row(B, B) for k in (0.1, 1.0, 10.0, 100.0)]
-        unis = [_train(text, k=k).unigram_dist() for k in (0.1, 1.0, 10.0, 100.0)]
-        dists = [np.abs(r - u).sum() for r, u in zip(rows, unis)]
+        dists = []
+        for k in (0.1, 1.0, 10.0, 100.0):
+            model = _train(text, k=k)
+            # the oracle at a context outside the alphabet is the unigram level
+            uni = [blended_transition_oracle(model.trigrams, 4, k, -1, -1, c) for c in range(4)]
+            dists.append(np.abs(model.row(B, B) - uni).sum())
         assert all(a >= b - 1e-15 for a, b in zip(dists, dists[1:]))
 
 
@@ -140,14 +132,26 @@ class TestStructure:
         with pytest.raises(ConfigError):
             TransitionModel(TS3, k=-0.5)
 
-    def test_finalize_after_manual_counts(self):
-        model = TransitionModel(TS3, k=0.0)
-        model.add_trigram(B, B, 0, count=3)
-        model.add_trigram(B, 0, B, count=3)
-        model.finalize()
+    def test_model_from_manual_counts(self):
+        model = TransitionModel(TS3, k=0.0, trigrams={(B, B, 0): 3, (B, 0, B): 3})
         assert model.transition_prob((B, B), (B, 0)) == 1.0
         assert model.transition_prob((B, 0), (0, B)) == 1.0
-        # adding more counts and re-finalizing refreshes the cached rows
-        model.add_trigram(B, B, 1, count=3)
-        model.finalize()
+        model = TransitionModel(TS3, k=0.0, trigrams={(B, B, 0): 3, (B, 0, B): 3, (B, B, 1): 3})
         assert model.transition_prob((B, B), (B, 0)) == 0.5
+
+
+class TestDenseArray:
+    def test_rows_are_read_only_views(self):
+        model = _train(TestBlending.CORPORA[1])
+        assert model.probs.shape == (4, 4, 4)
+        row = model.row(0, 1)
+        assert np.shares_memory(row, model.probs)
+        assert np.array_equal(row, model.probs[0, 1])
+        with pytest.raises(ValueError):
+            row[0] = 0.5
+
+    def test_train_builds_no_array(self):
+        model = _train(TestBlending.CORPORA[1])
+        assert "probs" not in vars(model)
+        model.row(0, 0)
+        assert "probs" in vars(model)
