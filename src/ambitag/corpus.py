@@ -154,6 +154,7 @@ def write_annotated(sentences: Iterable[AnnotatedSentence], out: str | TextIO) -
 def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list[list[Cohort]]:
     sentences: list[list[Cohort]] = []
     current: list[Cohort] = []
+    tags, lookup = tagset.tags, tagset.lookup
 
     for lineno, line in _content_lines(text):
         if not line.strip():
@@ -166,17 +167,14 @@ def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list
             raise CorpusFormatError(
                 f"{source}:{lineno}: expected 'surface<TAB>TAG( TAG)*', got {line!r}"
             )
-        surface = fields[0]
-        candidates: list["Tag"] = []
-        for symbol in fields[1].split():
-            if symbol not in tagset:
-                raise CorpusFormatError(
-                    f"{source}:{lineno}: unknown tag symbol {symbol!r}"
-                )
-            tag = tagset.tag(symbol)
-            if tag not in candidates:
-                candidates.append(tag)
-        current.append(Cohort(Token(surface), candidates))
+        try:
+            # a repeated symbol keeps its first place
+            candidates = [tags[lookup[s]] for s in dict.fromkeys(fields[1].split())]
+        except KeyError as exc:
+            raise CorpusFormatError(
+                f"{source}:{lineno}: unknown tag symbol {exc.args[0]!r}"
+            ) from None
+        current.append(Cohort(Token(fields[0]), candidates))
     if current:
         sentences.append(current)
     return sentences

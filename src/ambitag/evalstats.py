@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy.special import ndtri
+from statistics import NormalDist
 
 from .corpus import AnnotatedSentence, word_count
 from .decoder import (
@@ -180,7 +179,9 @@ def binomial_ci_halfwidth(p_hat: float, n: int, level: float = 0.95) -> float:
         raise InputError(f"rate must be in [0, 1], got {p_hat}")
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    z = float(ndtri(0.5 + level / 2.0))
+    if not 0.0 < level < 1.0:
+        raise InputError(f"confidence level must be in (0, 1), got {level}")
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return z * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
@@ -196,7 +197,7 @@ def agreement_critical_rate(n: int, p0: float, alpha: float) -> float:
         raise InputError(f"null rate must be in (0, 1), got {p0}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"significance level must be in (0, 1), got {alpha}")
-    return p0 + float(ndtri(alpha)) * math.sqrt(p0 * (1.0 - p0) / n)
+    return p0 + NormalDist().inv_cdf(alpha) * math.sqrt(p0 * (1.0 - p0) / n)
 
 
 def agreement_test(n: int, p0: float, alpha: float, observed: float | None = None) -> AgreementTest:

@@ -12,6 +12,7 @@ Punctuation surfaces bypass the trie entirely (exact-match table).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ class SmoothingConfig:
     class_mix: float = 0.5  # weight of the shape-class distribution for unknowns
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ConfigError(f"blend strength must be >= 0, got {self.k}")
+        if not 0.0 <= self.k < math.inf:
+            raise ConfigError(f"blend strength must be finite and >= 0, got {self.k}")
         if self.known_lookup_levels < 0:
             raise ConfigError("known_lookup_levels must be >= 0")
         if self.infrequent_cutoff < 0:

@@ -14,9 +14,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ConfigError, InputError, ModelFormatError, TagInventoryError
 from .lexicon import LexicalModel, SmoothingConfig, TrieNode
-from .ngram import StateSpace, TransitionModel
+from .ngram import TransitionModel
 from .tagset import TagSet
 
 LEX_HEADER = "ambitag-lex v1"
@@ -31,11 +31,14 @@ def _enc_char(ch: str) -> str:
 
 
 def _dec_char(field: str) -> str:
-    if field.startswith("\\u") or field.startswith("\\U"):
-        return chr(int(field[2:], 16))
-    if len(field) != 1:
-        raise ModelFormatError(f"bad character field {field!r}")
-    return field
+    if len(field) == 1:
+        return field
+    if field[:2] in ("\\u", "\\U"):
+        try:
+            return chr(int(field[2:], 16))
+        except (ValueError, OverflowError):
+            pass
+    raise ModelFormatError(f"bad character field {field!r}")
 
 
 def _dump_trie(root: TrieNode, symbols: list[str]) -> list[str]:
@@ -101,54 +104,88 @@ def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Cursor:
+class _Lines:
+    """The model file's lines, read front to back.  ``pos`` is the number
+    of the last line read, so it is also that line's 1-based line number."""
+
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError("unexpected end of model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+    def error(self, message: str) -> ModelFormatError:
+        return ModelFormatError(f"line {self.pos}: {message}")
+
+    def bad(self, what: str) -> ModelFormatError:
+        return self.error(f"bad {what} {self.lines[self.pos - 1]!r}")
 
     def expect(self, prefix: str) -> str:
-        line = self.next()
+        """The next line, which must start with `prefix`, without the prefix."""
+        line = self.block(1)[0]
         if not line.startswith(prefix):
-            raise ModelFormatError(
-                f"line {self.pos}: expected {prefix!r}, got {line!r}"
-            )
-        return line
+            raise self.error(f"expected {prefix!r}, got {line!r}")
+        return line[len(prefix):]
 
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
+    def count(self, prefix: str) -> int:
+        """The entry count on the section header line ``prefix N``."""
+        field = self.expect(prefix)
+        if not field.isdecimal():
+            raise self.bad("section header")
+        return int(field)
+
+    def block(self, n: int) -> list[str]:
+        """The next `n` lines; the first is line ``pos - n + 1``."""
+        if self.pos + n > len(self.lines):
+            raise ModelFormatError("unexpected end of model file")
+        self.pos += n
+        return self.lines[self.pos - n : self.pos]
+
+    def numbered(self, n: int) -> enumerate:
+        """The next `n` lines, each with its line number."""
+        return enumerate(self.block(n), self.pos - n + 1)
 
 
-def _read_dist(cur: _Cursor, header: str, tagset: TagSet) -> np.ndarray:
-    line = cur.expect(header)
+# What a body line's parse can raise; `_located` adds the line number.
+_PARSE_ERRORS = (ValueError, KeyError, ModelFormatError)
+
+
+def _located(exc: Exception, lineno: int, line: str, what: str) -> InputError:
+    if isinstance(exc, KeyError):
+        return TagInventoryError(f"line {lineno}: unknown tag symbol {exc.args[0]!r}")
+    reason = exc if isinstance(exc, ModelFormatError) else f"bad {what} {line!r}"
+    return ModelFormatError(f"line {lineno}: {reason}")
+
+
+def _term_counts(fields: list[str], lookup: dict[str, int]) -> dict[int, int]:
+    """``tag count tag count ...`` as {tag id: count}; counts are positive."""
+    counts = {}
+    for sym, count in zip(fields[0::2], fields[1::2], strict=True):
+        n = int(count) if count.isdecimal() else 0
+        if n == 0:
+            raise ModelFormatError(f"tag count {count!r} is not a positive integer")
+        counts[lookup[sym]] = n
+    return counts
+
+
+def _read_dist(lines: _Lines, header: str, lookup: dict[str, int]) -> np.ndarray:
+    vec = np.zeros(len(lookup))
+    entries = lines.numbered(lines.count(header))
     try:
-        n = int(line.rsplit(" ", 1)[1])
-    except (IndexError, ValueError):
-        raise ModelFormatError(f"line {cur.pos}: bad section header {line!r}") from None
-    vec = np.zeros(len(tagset))
-    for _ in range(n):
-        sym, val = cur.next().rsplit(" ", 1)
-        vec[tagset.tag(sym).index] = float(val)
+        for lineno, line in entries:
+            sym, val = line.rsplit(" ", 1)
+            p = float(val)
+            if not 0.0 <= p <= 1.0:
+                raise ModelFormatError(f"probability {val!r} is outside [0, 1]")
+            vec[lookup[sym]] = p
+    except _PARSE_ERRORS as exc:
+        raise _located(exc, lineno, line, "distribution entry") from None
     return vec
 
 
-def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
-    cur = _Cursor(text)
-    cur.expect(LEX_HEADER)
-    n_tags = int(cur.expect("tags ").split()[1])
-    tagset = TagSet([cur.next() for _ in range(n_tags)])
-
-    fields = cur.expect("config ").split()
-    opts = dict(zip(fields[1::2], fields[2::2]))
+def _read_config(lines: _Lines) -> SmoothingConfig:
+    fields = lines.expect("config ").split()
+    opts = dict(zip(fields[0::2], fields[1::2]))
     try:
-        config = SmoothingConfig(
+        return SmoothingConfig(
             k=float(opts["k"]),
             known_lookup_levels=int(opts["levels"]),
             infrequent_cutoff=int(opts["cutoff"]),
@@ -157,70 +194,101 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
             class_mix=float(opts["class-mix"]),
         )
     except KeyError as exc:
-        raise ModelFormatError(f"config line missing field {exc}") from None
+        raise lines.error(f"config line missing field {exc}") from None
+    except ValueError:
+        raise lines.bad("config line") from None
+    except ConfigError as exc:
+        raise lines.error(str(exc)) from None
 
-    lex = LexicalModel(tagset, config)
-    lex.priors = _read_dist(cur, "priors word ", tagset)
-    lex.punct_priors = _read_dist(cur, "priors punct ", tagset)
+
+def _read_punct_table(lines: _Lines, lex: LexicalModel) -> None:
+    """Each line is ``surface<TAB>(tag count)*``."""
+    lookup = lex.tagset.lookup
+    entries = lines.numbered(lines.count("punct-table "))
+    try:
+        for lineno, line in entries:
+            surface, rest = line.split("\t", 1)
+            lex.punct_table[surface] = _term_counts(rest.split(), lookup)
+    except _PARSE_ERRORS as exc:
+        raise _located(exc, lineno, line, "punct-table entry") from None
+
+
+def _read_trie(lines: _Lines, lex: LexicalModel) -> None:
+    """The pre-order trie dump: each line is ``depth char (tag count)*``."""
+    lookup = lex.tagset.lookup
+    stack: list[TrieNode] = [lex.root]  # the path from the root to the last node
+    entries = lines.numbered(lines.count("trie "))
+    try:
+        for lineno, line in entries:
+            depth, ch, *terms = line.split()
+            depth = int(depth)
+            if not 1 <= depth <= len(stack):
+                raise ModelFormatError(f"trie depth {depth} out of order")
+            del stack[depth:]
+            node = stack[-1].child(_dec_char(ch))
+            stack.append(node)
+            if terms:
+                node.term_counts.update(_term_counts(terms, lookup))
+                # the path spells the surface backwards
+                surface = "".join(n.char for n in reversed(stack))
+                lex.word_counts[surface] = sum(node.term_counts.values())
+    except _PARSE_ERRORS as exc:
+        raise _located(exc, lineno, line, "trie line") from None
+
+
+def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> dict[tuple[int, int, int], int]:
+    """Each line is ``a b c count`` over symbol names, read with `ids`."""
+    trigrams: dict[tuple[int, int, int], int] = {}
+    entries = lines.numbered(lines.count("trigrams "))
+    try:
+        for lineno, line in entries:
+            a, b, c, count = line.split()
+            n = int(count) if count.isdecimal() else 0
+            if n == 0:
+                raise ModelFormatError(f"trigram count {count!r} is not a positive integer")
+            key = (ids[a], ids[b], ids[c])
+            trigrams[key] = trigrams.get(key, 0) + n
+    except _PARSE_ERRORS as exc:
+        raise _located(exc, lineno, line, "trigram line") from None
+    return trigrams
+
+
+def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
+    lines = _Lines(text)
+    lines.expect(LEX_HEADER)
+    symbols: dict[str, None] = {}
+    for lineno, sym in lines.numbered(lines.count("tags ")):
+        if sym.split() != [sym] or sym in symbols:
+            raise ModelFormatError(f"line {lineno}: bad tag symbol {sym!r}")
+        symbols[sym] = None
+    tagset = TagSet(list(symbols))
+
+    lex = LexicalModel(tagset, _read_config(lines))
+    lookup = tagset.lookup
+    lex.priors = _read_dist(lines, "priors word ", lookup)
+    lex.punct_priors = _read_dist(lines, "priors punct ", lookup)
     lex.class_dists = {
-        name: _read_dist(cur, f"class {name} ", tagset)
+        name: _read_dist(lines, f"class {name} ", lookup)
         for name in ("capitalized", "all-caps", "infrequent")
     }
 
-    n_punct = int(cur.expect("punct-table ").split()[1])
-    for _ in range(n_punct):
-        line = cur.next()
-        if "\t" not in line:
-            raise ModelFormatError(f"line {cur.pos}: bad punct-table entry {line!r}")
-        surface, rest = line.split("\t", 1)
-        fields = rest.split()
-        row = {}
-        for sym, count in zip(fields[0::2], fields[1::2]):
-            row[tagset.tag(sym).index] = int(count)
-        lex.punct_table[surface] = row
-
-    n_trie = int(cur.expect("trie ").split()[1])
-    stack: list[TrieNode] = [lex.root]
-    paths: list[str] = [""]
-    for _ in range(n_trie):
-        fields = cur.next().split()
-        depth = int(fields[0])
-        if not 1 <= depth <= len(stack):
-            raise ModelFormatError(f"line {cur.pos}: trie depth {depth} out of order")
-        ch = _dec_char(fields[1])
-        parent = stack[depth - 1]
-        node = parent.child(ch)
-        del stack[depth:], paths[depth:]
-        stack.append(node)
-        paths.append(paths[depth - 1] + ch)
-        for sym, count in zip(fields[2::2], fields[3::2]):
-            node.term_counts[tagset.tag(sym).index] = int(count)
-        if node.term_counts:
-            # path spells the surface backwards
-            lex.word_counts[paths[-1][::-1]] = sum(node.term_counts.values())
+    _read_punct_table(lines, lex)
+    _read_trie(lines, lex)
     lex.root.aggregate()
     lex._finish()
 
-    cur.expect(TRANS_HEADER)
-    k_trans = float(cur.expect("config k ").split()[2])
-    space = StateSpace(tagset)
-    trigrams: dict[tuple[int, int, int], int] = {}
-    n_tri = int(cur.expect("trigrams ").split()[1])
-    for _ in range(n_tri):
-        fields = cur.next().split()
-        if len(fields) != 4:
-            raise ModelFormatError(f"line {cur.pos}: bad trigram line")
-        count = int(fields[3]) if fields[3].isdecimal() else 0
-        if count == 0:
-            raise ModelFormatError(
-                f"line {cur.pos}: trigram count {fields[3]!r} is not a positive integer"
-            )
-        key = tuple(space.symbol_id(s) for s in fields[:3])
-        trigrams[key] = trigrams.get(key, 0) + count
-    trans = TransitionModel(tagset, k_trans, trigrams)
-    while not cur.done:
-        if cur.next().strip():
-            raise ModelFormatError(f"line {cur.pos}: trailing content in model file")
+    lines.expect(TRANS_HEADER)
+    try:
+        trans = TransitionModel(tagset, float(lines.expect("config k ")))
+    except ValueError:
+        raise lines.bad("config line") from None
+    except ConfigError as exc:
+        raise lines.error(str(exc)) from None
+    # `probs` is derived on first use, so the counts can follow construction
+    trans.trigrams = _read_trigrams(lines, trans.space.ids)
+    for lineno, line in lines.numbered(len(lines.lines) - lines.pos):
+        if line.strip():
+            raise ModelFormatError(f"line {lineno}: trailing content in model file")
     return lex, trans
 
 

@@ -13,12 +13,13 @@ conditional; the blended model is one dense array P[a, b, c].
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import ConfigError
+from .errors import ConfigError, TagInventoryError
 from .tagset import TagSet
 
 BOUNDARY = "<s>"
@@ -31,9 +32,15 @@ class StateSpace:
     """
 
     def __init__(self, tagset: TagSet):
+        if BOUNDARY in tagset:
+            raise TagInventoryError(
+                f"tag symbol {BOUNDARY!r} is reserved for the sentence boundary"
+            )
         self.tagset = tagset
         self.n_symbols = len(tagset) + 1
         self.boundary_id = len(tagset)
+        # symbol -> alphabet id; the model loader reads trigram lines with it
+        self.ids = {**tagset.lookup, BOUNDARY: self.boundary_id}
 
     def symbol_name(self, sym_id: int) -> str:
         if sym_id == self.boundary_id:
@@ -41,9 +48,10 @@ class StateSpace:
         return self.tagset.by_index(sym_id).symbol
 
     def symbol_id(self, name: str) -> int:
-        if name == BOUNDARY:
-            return self.boundary_id
-        return self.tagset.tag(name).index
+        try:
+            return self.ids[name]
+        except KeyError:
+            raise TagInventoryError(f"unknown tag symbol {name!r}") from None
 
 
 def _blend(counts: np.ndarray, parent: np.ndarray, k: float) -> np.ndarray:
@@ -61,8 +69,8 @@ class TransitionModel:
         k: float = 1.0,
         trigrams: dict[tuple[int, int, int], int] | None = None,
     ):
-        if k < 0:
-            raise ConfigError(f"blend strength must be >= 0, got {k}")
+        if not 0.0 <= k < math.inf:
+            raise ConfigError(f"blend strength must be finite and >= 0, got {k}")
         self.space = StateSpace(tagset)
         self.k = float(k)
         self.trigrams = trigrams or {}

@@ -213,12 +213,8 @@ def convert_cohort(
 ) -> Cohort:
     if not readings:
         raise ConversionError(f"token {token!r} has no readings")
-    candidates: list[Tag] = []
-    for reading in readings:
-        tag = convert_reading(reading, rules, tagset)
-        if tag not in candidates:
-            candidates.append(tag)
-    return Cohort(Token(token), candidates)
+    candidates = dict.fromkeys(convert_reading(r, rules, tagset) for r in readings)
+    return Cohort(Token(token), list(candidates))
 
 
 def parse_analysis_blocks(text: str, source: str = "<string>") -> list[list[tuple[str, list[list[str]]]]]:

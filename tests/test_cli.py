@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ambitag
 from ambitag.cli import main
 from ambitag.corpus import parse_annotated, parse_cohorts, word_count
 from ambitag.modelfile import load_model
@@ -98,6 +104,19 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == "error: tag inventory has no word tags\n"
 
+    def test_boundary_symbol_as_tag_is_exit_2(self, ws, capsys):
+        (ws / "boundary.tags").write_text("N\n<s>\n@dot\n", encoding="utf-8")
+        (ws / "boundary.txt").write_text("a\tN\nb\t<s>\n.\t@dot\n", encoding="utf-8")
+        rc = main(
+            ["train", str(ws / "boundary.txt"), "--tagset", str(ws / "boundary.tags"),
+             "--model", str(ws / "m.txt")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: tag symbol '<s>' is reserved for the sentence boundary\n"
+        )
+        assert not (ws / "m.txt").exists()
+
 
 class TestTag:
     def test_default_threshold_fully_disambiguates(self, ws):
@@ -177,6 +196,29 @@ class TestTag:
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "'x' is not a positive integer" in err
         assert err.count("\n") == 1
+
+    def test_bad_trie_depth_is_exit_2(self, ws, capsys):
+        model = ws / train_model(ws)
+        lines = model.read_text(encoding="utf-8").splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("trie ")) + 1
+        lines[idx] = "x " + lines[idx].split(" ", 1)[1]
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["tag", str(ws / "input.cohorts"), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {idx + 1}: bad trie line ")
+        assert err.count("\n") == 1
+
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy(self):
+        path = [str(Path(ambitag.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "import sys, ambitag.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 class TestEval:

@@ -105,6 +105,14 @@ class TestCohorts:
         sents = parse_cohorts("w\tV-INF V-IMP\n", ts)
         assert [t.symbol for t in sents[0][0].candidates] == ["V-INF", "V-IMP"]
 
+    def test_repeated_symbol_collapsed_in_place(self, ts):
+        sents = parse_cohorts("w\tV-INF V-IMP V-INF N-NOM-SG V-IMP\n", ts)
+        assert [t.symbol for t in sents[0][0].candidates] == ["V-INF", "V-IMP", "N-NOM-SG"]
+
+    def test_unknown_symbol_names_line_and_symbol(self, ts):
+        with pytest.raises(CorpusFormatError, match=r"<string>:2: unknown tag symbol 'BOGUS'"):
+            parse_cohorts("the\tDET-SG/PL\nw\tV-INF BOGUS V-INF\n", ts)
+
     def test_round_trip(self, ts):
         text = "walk\tV-INF N-NOM-SG\n\nthe\tDET-SG/PL\n"
         assert format_cohorts(parse_cohorts(text, ts)) == text

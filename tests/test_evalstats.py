@@ -211,6 +211,9 @@ class TestIntervals:
             binomial_ci_halfwidth(1.2, 100)
         with pytest.raises(InputError):
             binomial_ci_halfwidth(0.5, 0)
+        for level in (0.0, 1.0, 1.5):
+            with pytest.raises(InputError):
+                binomial_ci_halfwidth(0.5, 100, level)
 
 
 class TestAgreement:

@@ -232,8 +232,9 @@ class TestDegenerate:
         assert model.converse_lexical_prob("qq", TS2.tag("B")) == 0.0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            SmoothingConfig(k=-1.0)
+        for k in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                SmoothingConfig(k=k)
         with pytest.raises(ConfigError):
             SmoothingConfig(support_epsilon=1.0)
         with pytest.raises(ConfigError):

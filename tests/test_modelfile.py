@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, decode_sentence
-from ambitag.errors import ModelFormatError, TagInventoryError
+from ambitag.errors import InputError, ModelFormatError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.modelfile import (
     LEX_HEADER,
@@ -214,6 +215,76 @@ class TestFormatErrors:
         text = dumps_model(lex, TransitionModel(ts))
         with pytest.raises(TagInventoryError, match="no word tags"):
             loads_model(text)
+
+
+def _mutated(text: str, prefix: str, offset: int, edit) -> tuple[str, int]:
+    """`text` with `edit` applied to the line `offset` lines after the first
+    line that starts with `prefix`; also that line's 1-based number."""
+    lines = text.splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith(prefix)) + offset
+    lines[idx] = edit(lines[idx])
+    return "\n".join(lines) + "\n", idx + 1
+
+
+# One malformed field each: (section prefix, offset from it, edit of that line).
+BAD_FIELDS = {
+    "trie-depth": ("trie ", 1, lambda l: "x " + l.split(" ", 1)[1]),
+    "trie-count": ("trie ", 3, lambda l: l.rsplit(" ", 1)[0] + " x"),
+    "empty-trie-line": ("trie ", 1, lambda l: ""),
+    "prior-value": ("priors word ", 1, lambda l: l.rsplit(" ", 1)[0] + " x"),
+    "prior-without-space": ("priors word ", 1, lambda l: l.replace(" ", "")),
+    "tags-header": ("tags ", 0, lambda l: "tags x"),
+    "trie-header": ("trie ", 0, lambda l: "trie x"),
+    "transition-config-k": (TRANS_HEADER, 1, lambda l: "config k x"),
+    "config-levels": ("config ", 0, lambda l: l.replace(" levels 2 ", " levels x ")),
+    "negative-trie-count": ("trie ", 3, lambda l: l.rsplit(" ", 1)[0] + " -3"),
+    "trie-tag-without-count": ("trie ", 3, lambda l: l.rsplit(" ", 1)[0]),
+    "prior-above-one": ("priors word ", 1, lambda l: l.rsplit(" ", 1)[0] + " 1.5"),
+    "prior-nan": ("priors word ", 1, lambda l: l.rsplit(" ", 1)[0] + " nan"),
+    "zero-punct-count": ("punct-table ", 1, lambda l: l.rsplit(" ", 1)[0] + " 0"),
+    "punct-entry-without-tab": ("punct-table ", 1, lambda l: l.replace("\t", " ")),
+    "transition-k-nan": (TRANS_HEADER, 1, lambda l: "config k nan"),
+    "lexical-k-inf": ("config ", 0, lambda l: l.replace("config k 1.0 ", "config k inf ")),
+}
+
+DUMP = dumps_model(*trained())
+# The property test replaces one field of DUMP with one of these or with
+# short random text.
+ODD_FIELDS = ["", "x", "-1", "0", "1.5", "nan", "1e999", "99999", "+2", "<s>", "N", "\\uZZZZ"]
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("name", BAD_FIELDS)
+    def test_raises_format_error_with_line_number(self, name):
+        bad, lineno = _mutated(DUMP, *BAD_FIELDS[name])
+        assert bad != DUMP
+        with pytest.raises(ModelFormatError, match=f"^line {lineno}: "):
+            loads_model(bad)
+
+    def test_unknown_tag_in_trie_names_its_line(self):
+        bad, lineno = _mutated(DUMP, "trie ", 3, lambda l: l.replace(" N ", " BOGUS "))
+        with pytest.raises(TagInventoryError, match=f"^line {lineno}: unknown tag symbol 'BOGUS'"):
+            loads_model(bad)
+
+    @pytest.mark.parametrize("field", ["\\uZZZZ", "\\U" + "f" * 20, "ab"])
+    def test_bad_trie_character(self, field):
+        bad, lineno = _mutated(DUMP, "trie ", 1, lambda l: "1 " + field)
+        with pytest.raises(ModelFormatError, match=f"^line {lineno}: bad character field"):
+            loads_model(bad)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_field_mutation_loads_or_raises_input_error(self, data):
+        lines = DUMP.splitlines()
+        idx = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[idx].split(" ")
+        j = data.draw(st.integers(0, len(fields) - 1))
+        fields[j] = data.draw(st.sampled_from(ODD_FIELDS) | st.text(max_size=3))
+        lines[idx] = " ".join(fields)
+        try:
+            loads_model("\n".join(lines) + "\n")
+        except InputError:
+            pass
 
 
 class TestLongSurface:

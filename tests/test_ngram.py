@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ambitag.corpus import parse_annotated
-from ambitag.errors import ConfigError
+from ambitag.errors import ConfigError, TagInventoryError
 from ambitag.ngram import BOUNDARY, StateSpace, TransitionModel
 from ambitag.tagset import parse_tagset
 
@@ -29,6 +29,16 @@ class TestStateSpace:
         assert sp.symbol_id(BOUNDARY) == 3
         assert sp.symbol_name(0) == "A"
         assert sp.symbol_id("C") == 2
+
+    def test_symbol_ids_extend_the_tag_lookup(self):
+        sp = StateSpace(TS3)
+        assert sp.ids == {**TS3.lookup, BOUNDARY: 3}
+        with pytest.raises(TagInventoryError, match="'D'"):
+            sp.symbol_id("D")
+
+    def test_boundary_symbol_is_not_a_tag(self):
+        with pytest.raises(TagInventoryError, match="reserved"):
+            StateSpace(parse_tagset(f"A\n{BOUNDARY}\n"))
 
 
 class TestCounting:
@@ -131,6 +141,11 @@ class TestStructure:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):
             TransitionModel(TS3, k=-0.5)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(ConfigError):
+            TransitionModel(TS3, k=k)
 
     def test_model_from_manual_counts(self):
         model = TransitionModel(TS3, k=0.0, trigrams={(B, B, 0): 3, (B, 0, B): 3})
