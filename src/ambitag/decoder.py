@@ -8,6 +8,12 @@ the sum of state posteriors sharing the emitted tag.  Viterbi runs in the
 log domain with first-maximum (= smallest predecessor state index)
 tie-breaking.  Retention keeps every tag whose posterior clears the
 threshold and never drops the primary tag.
+
+A lattice gathers each distinct (previous, current, next) candidate-set
+triple's transition block, and its log, once per sentence; every step with
+that triple shares the same read-only pair.  When every tag is a candidate,
+all interior steps share one block, so lattice memory does not grow with
+sentence length.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ class Lattice:
     ids: list[list[int]]
     aprime: list[np.ndarray]
     init: np.ndarray  # P(c | boundary, boundary) over ids[0]
-    tensors: list[np.ndarray]  # step t->t+1: (|C_t-1|, |C_t|, |C_t+1|)
+    # step t->t+1: (|C_t-1|, |C_t|, |C_t+1|), read-only; steps with the same
+    # candidate-id triple reference one array
+    tensors: list[np.ndarray]
+    log_tensors: list[np.ndarray]  # np.log of tensors[t], shared the same way
 
 
 def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohort]) -> Lattice:
@@ -49,11 +58,30 @@ def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohor
     ]
     b = trans.space.boundary_id
     init = trans.row(b, b).take(ids[0])
-    prev_ids = [[b]] + ids[:-2]
-    tensors = [
-        trans.probs[np.ix_(prev, cur, nxt)] for prev, cur, nxt in zip(prev_ids, ids, ids[1:])
-    ]
-    return Lattice(cohorts, cand, ids, aprime, init, tensors)
+    keys = [tuple(i) for i in ids]
+    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # lives for this sentence
+    tensors: list[np.ndarray] = []
+    log_tensors: list[np.ndarray] = []
+    with np.errstate(divide="ignore"):
+        for key in zip([(b,)] + keys[:-2], keys, keys[1:]):
+            pair = blocks.get(key)
+            if pair is None:
+                block = trans.probs[np.ix_(*key)]
+                log_block = np.log(block)
+                block.setflags(write=False)
+                log_block.setflags(write=False)
+                pair = blocks[key] = (block, log_block)
+            tensors.append(pair[0])
+            log_tensors.append(pair[1])
+    return Lattice(cohorts, cand, ids, aprime, init, tensors, log_tensors)
+
+
+def _dead_lattice(lattice: Lattice, t: int) -> DeadLatticeError:
+    """The error for a lattice in which no path reaches position t (0-based)."""
+    return DeadLatticeError(
+        f"dead lattice at position {t + 1} "
+        f"({lattice.cohorts[t].token.surface!r}): no path has nonzero probability"
+    )
 
 
 def forward(lattice: Lattice) -> tuple[list[np.ndarray], list[float]]:
@@ -67,10 +95,7 @@ def forward(lattice: Lattice) -> tuple[list[np.ndarray], list[float]]:
             a = a * lattice.aprime[t][None, :]
         s = float(a.sum())
         if s <= 0.0:
-            raise DeadLatticeError(
-                f"dead lattice at position {t + 1} "
-                f"({lattice.cohorts[t].token.surface!r}): no path has nonzero probability"
-            )
+            raise _dead_lattice(lattice, t)
         alphas.append(a / s)
         scales.append(s)
     return alphas, scales
@@ -82,8 +107,8 @@ def backward(lattice: Lattice, scales: list[float]) -> list[np.ndarray]:
     betas: list[np.ndarray] = [None] * T  # type: ignore[list-item]
     betas[T - 1] = np.ones((lattice.tensors[-1].shape[1] if T > 1 else 1, len(lattice.ids[T - 1])))
     for t in range(T - 2, -1, -1):
-        nxt = lattice.tensors[t] * lattice.aprime[t + 1][None, None, :]
-        betas[t] = np.einsum("abc,bc->ab", nxt, betas[t + 1]) / scales[t + 1]
+        weighted = betas[t + 1] * lattice.aprime[t + 1][None, :]
+        betas[t] = np.einsum("abc,bc->ab", lattice.tensors[t], weighted) / scales[t + 1]
     return betas
 
 
@@ -108,21 +133,13 @@ def viterbi(lattice: Lattice) -> tuple[list[int], float]:
     backptr: list[np.ndarray] = []
     for t in range(1, len(lattice.cohorts)):
         if not np.isfinite(score.max()):
-            raise DeadLatticeError(
-                f"dead lattice at position {t} "
-                f"({lattice.cohorts[t - 1].token.surface!r}): no path has nonzero probability"
-            )
-        combined = np.log(lattice.tensors[t - 1])  # one step's block at a time
-        combined += score[:, :, None]
+            raise _dead_lattice(lattice, t - 1)
+        combined = lattice.log_tensors[t - 1] + score[:, :, None]
         backptr.append(combined.argmax(axis=0))  # first max = smallest predecessor
         score = combined.max(axis=0) + log_ap[t][None, :]
     best_logp = float(score.max())
     if not np.isfinite(best_logp):
-        t = len(lattice.cohorts)
-        raise DeadLatticeError(
-            f"dead lattice at position {t} "
-            f"({lattice.cohorts[t - 1].token.surface!r}): no path has nonzero probability"
-        )
+        raise _dead_lattice(lattice, len(lattice.cohorts) - 1)
     flat = int(score.argmax())  # row-major first max = smallest state index
     prev_idx, cur_idx = divmod(flat, score.shape[1])
     rev = [cur_idx]

@@ -288,11 +288,17 @@ class LexicalModel:
         return cond / prior
 
     def candidate_tags(self, surface: str) -> list[Tag]:
-        """Tags with blended mass above support_epsilon, most probable first."""
+        """Tags with blended mass above support_epsilon, most probable first.
+
+        When no tag clears support_epsilon the most probable tag (ties to the
+        smaller index) is kept alone, so a cohort is never empty.
+        """
         v = self._dist_vector(surface)
         eps = self.config.support_epsilon
         idx = [i for i in range(len(v)) if v[i] > eps]
         idx.sort(key=lambda i: (-v[i], i))
+        if not idx:
+            idx = [int(np.argmax(v))]  # first maximum = smallest index
         return [self.tagset.by_index(i) for i in idx]
 
     def is_known(self, surface: str) -> bool:

@@ -253,6 +253,17 @@ class TestEval:
         assert fields[0] == "3"
         assert fields[4] == "1"  # "new" is unseen
 
+    def test_epsilon_above_every_tag_mass_keeps_one_candidate(self, ws, capsys):
+        # no word's blended mass clears 0.99, so each cohort keeps its best tag
+        model = train_model(ws, "--support-epsilon", "0.99")
+        capsys.readouterr()
+        (ws / "gold.txt").write_text("dog\tN\nruns\tV\n.\t@dot\n", encoding="utf-8")
+        rc = main(["eval", str(ws / "gold.txt"), "--model", model, "--threshold", "0"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "words                3" in out
+        assert "tags/word            1.000" in out  # threshold 0 keeps every candidate
+
     def test_missing_model_is_exit_2(self, ws, capsys):
         rc = main(["eval", str(ws / "train.txt"), "--model", str(ws / "nope.model")])
         assert rc == 2

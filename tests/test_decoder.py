@@ -329,22 +329,58 @@ class TestCohortConstruction:
 
 
 class TestLatticeBlocks:
-    def _dense_lattice(self, n_tags=30, n_words=40):
+    def _dense_inputs(self, n_tags=30, n_words=40, sets=None):
         hmm = build_synthetic_hmm(n_tags=n_tags, vocab=200, seed=1)
         corpus = sample_corpus(hmm, 2000, seed=2)
         lex = LexicalModel.train(corpus, hmm.tagset)
         trans = TransitionModel.train(corpus, hmm.tagset)
         tags = list(hmm.tagset.word_tags())
         toks = [tok for sent in corpus for tok in sent.tokens][:n_words]
-        return build_lattice(lex, trans, [Cohort(tok, tags) for tok in toks]), trans
+        sets = sets or [slice(None)] * len(toks)
+        return lex, trans, [Cohort(tok, tags[s]) for tok, s in zip(toks, sets)]
+
+    def _dense_lattice(self, n_tags=30, n_words=40):
+        lex, trans, cohorts = self._dense_inputs(n_tags, n_words)
+        return build_lattice(lex, trans, cohorts), trans
 
     def test_blocks_gather_the_transition_rows(self):
-        lattice, trans = self._dense_lattice(n_tags=6, n_words=5)
-        prev_ids = [[trans.space.boundary_id]] + lattice.ids[:-2]
-        for t, block in enumerate(lattice.tensors):
-            for i, a in enumerate(prev_ids[t]):
-                for j, bb in enumerate(lattice.ids[t]):
-                    assert np.array_equal(block[i, j], trans.row(a, bb)[lattice.ids[t + 1]])
+        full = slice(None)
+        for sets in (
+            [full] * 5,
+            # full, partial and repeated candidate sets, so some steps share
+            # a block and others gather a distinct one
+            [full] * 4 + [slice(1, 4)] * 4 + [slice(0, 6, 2), full, slice(2, 3)],
+        ):
+            lex, trans, cohorts = self._dense_inputs(n_tags=6, n_words=len(sets), sets=sets)
+            lattice = build_lattice(lex, trans, cohorts)
+            prev_ids = [[trans.space.boundary_id]] + lattice.ids[:-2]
+            for t, block in enumerate(lattice.tensors):
+                for i, a in enumerate(prev_ids[t]):
+                    for j, bb in enumerate(lattice.ids[t]):
+                        assert np.array_equal(block[i, j], trans.row(a, bb)[lattice.ids[t + 1]])
+                with np.errstate(divide="ignore"):
+                    assert np.array_equal(lattice.log_tensors[t], np.log(block))
+
+    def test_dense_interior_steps_share_one_read_only_block(self):
+        lattice, _ = self._dense_lattice()
+        assert lattice.tensors[0].shape == (1, 30, 30)
+        assert all(block is lattice.tensors[1] for block in lattice.tensors[1:])
+        assert all(log is lattice.log_tensors[1] for log in lattice.log_tensors[1:])
+        for block in lattice.tensors + lattice.log_tensors:
+            assert not block.flags.writeable
+
+    def test_build_holds_a_few_blocks_not_one_per_position(self):
+        lex, trans, cohorts = self._dense_inputs()
+        build_lattice(lex, trans, cohorts)  # fills the probs array and lexical caches
+        block_bytes = 30 * 30 * 30 * 8
+        tracemalloc.start()
+        try:
+            lattice = build_lattice(lex, trans, cohorts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lattice.tensors) == 39
+        assert peak < 4 * block_bytes
 
     def test_viterbi_holds_a_few_blocks_not_one_per_position(self):
         lattice, _ = self._dense_lattice()

@@ -249,6 +249,14 @@ class TestCandidates:
         # dist for "walk" is (0.7, 0.3): V sits exactly on epsilon -> dropped
         assert [t.symbol for t in model.candidate_tags("walk")] == ["N"]
 
+    def test_nothing_above_epsilon_keeps_the_most_probable_tag(self):
+        model = _train(WALK_CORPUS, support_epsilon=0.9)
+        # dist for "walk" is (0.7, 0.3): nothing clears 0.9, so N stays alone
+        assert [t.symbol for t in model.candidate_tags("walk")] == ["N"]
+        # a tie goes to the smaller tag index
+        model._dist_cache["qq"] = np.array([0.2, 0.4, 0.4, 0.0])
+        assert [t.symbol for t in model.candidate_tags("qq")] == ["V"]
+
     def test_zero_epsilon_with_positive_k_covers_support(self):
         model = _train(WALK_CORPUS + "\n.\t@fullstop\n")
         for surface in ("walk", "talk", "Xyzzy", "qq"):
