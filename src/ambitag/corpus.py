@@ -167,6 +167,8 @@ def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list
             raise CorpusFormatError(
                 f"{source}:{lineno}: expected 'surface<TAB>TAG( TAG)*', got {line!r}"
             )
+        if not fields[0]:
+            raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
         try:
             # a repeated symbol keeps its first place
             candidates = [tags[lookup[s]] for s in dict.fromkeys(fields[1].split())]

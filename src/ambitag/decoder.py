@@ -196,29 +196,34 @@ def decode_sentence(lex: LexicalModel, trans: TransitionModel, cohorts: list[Coh
     )
 
 
+def primary_ids(decode: SentenceDecode, mode: str = MODE_POSTERIOR) -> list[int]:
+    """Each word's primary tag id, which retention never drops: the Viterbi
+    tag, or the posterior argmax with ties going to the smaller tag id."""
+    if mode == MODE_VITERBI:
+        return decode.viterbi_ids
+    if mode == MODE_POSTERIOR:
+        return [max(post, key=lambda i: (post[i], -i)) for post in decode.posteriors]
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def apply_threshold(
     decode: SentenceDecode, threshold: float, mode: str = MODE_POSTERIOR
 ) -> TaggingResult:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    if mode not in (MODE_VITERBI, MODE_POSTERIOR):
-        raise ValueError(f"unknown mode {mode!r}")
     words = []
-    for t, cands in enumerate(decode.candidates):
-        post = decode.posteriors[t]
+    for cands, post, viterbi_id, primary_id in zip(
+        decode.candidates, decode.posteriors, decode.viterbi_ids, primary_ids(decode, mode)
+    ):
         by_index = {tag.index: tag for tag in cands}
-        viterbi_tag = by_index[decode.viterbi_ids[t]]
-        # posterior argmax; ties break toward the smaller tag index
-        arg_id = max(post, key=lambda i: (post[i], -i))
-        primary = viterbi_tag if mode == MODE_VITERBI else by_index[arg_id]
         keep = {i for i in post if post[i] >= threshold}
-        keep.add(primary.index)
+        keep.add(primary_id)
         order = sorted(keep, key=lambda i: (-post[i], i))
         words.append(
             WordResult(
                 posterior={by_index[i]: post[i] for i in post},
-                viterbi_tag=viterbi_tag,
-                primary=primary,
+                viterbi_tag=by_index[viterbi_id],
+                primary=by_index[primary_id],
                 retained=[by_index[i] for i in order],
             )
         )

@@ -14,13 +14,16 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
+import numpy as np
+
 from .corpus import AnnotatedSentence, word_count
 from .decoder import (
     MODE_POSTERIOR,
     SentenceDecode,
-    apply_threshold,
+    apply_threshold,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
     cohorts_for_tokens,
     decode_sentence,
+    primary_ids,
 )
 from .errors import InputError
 from .lexicon import LexicalModel, SmoothingConfig
@@ -84,46 +87,68 @@ def score_decodes(
     gold: list[AnnotatedSentence],
     decodes: list[SentenceDecode],
     lex: LexicalModel,
-    threshold: float,
+    threshold: float | list[float],
     mode: str = MODE_POSTERIOR,
-) -> EvalReport:
+) -> EvalReport | list[EvalReport]:
+    """The report at one threshold, or one report per threshold of a list.
+
+    Each word's posteriors are read once, whatever the number of thresholds.
+    A word keeps the candidates whose posterior clears the threshold plus its
+    primary tag, and is an error when its gold tag's posterior falls below
+    the threshold; that posterior is taken as -inf for a gold tag that is not
+    a candidate and +inf for one that is the primary.
+    """
+    thresholds = threshold if isinstance(threshold, list) else [threshold]
     if len(gold) != len(decodes):
         raise InputError(
             f"corpus/output length mismatch: {len(gold)} vs {len(decodes)} sentences"
         )
-    words = errors = retained_total = 0
-    unseen = unseen_err = omissions = 0
+    for theta in thresholds:
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {theta}")
+    cells: list[float] = []  # every candidate's posterior
+    p_primary: list[float] = []
+    p_gold: list[float] = []
+    unseen: list[bool] = []
     for si, (sent, dec) in enumerate(zip(gold, decodes)):
         if len(sent) != len(dec.cohorts):
             raise InputError(
                 f"sentence {si}: {len(sent)} gold tokens vs {len(dec.cohorts)} output tokens"
             )
-        result = apply_threshold(dec, threshold, mode)
-        for tok, gold_tag, word in zip(sent.tokens, sent.gold, result.words):
-            words += 1
-            retained_total += len(word.retained)
-            is_unseen = not lex.is_known(tok.surface)
-            if is_unseen:
-                unseen += 1
-            if gold_tag not in word.posterior:  # not even a candidate
-                omissions += 1
-            if gold_tag not in word.retained:
-                errors += 1
-                if is_unseen:
-                    unseen_err += 1
+        for tok, gold_tag, post, primary in zip(
+            sent.tokens, sent.gold, dec.posteriors, primary_ids(dec, mode)
+        ):
+            cells.extend(post.values())
+            p_primary.append(post[primary])
+            g = gold_tag.index
+            p_gold.append(math.inf if g == primary else post.get(g, -math.inf))
+            unseen.append(not lex.is_known(tok.surface))
+    words = len(p_gold)
     if words == 0:
         raise InputError("empty evaluation corpus")
-    return EvalReport(
-        words=words,
-        errors=errors,
-        error_rate=errors / words,
-        ambiguity=retained_total / words,
-        unseen_words=unseen,
-        unseen_errors=unseen_err,
-        unseen_word_error_rate=unseen_err / words,
-        omissions=omissions,
-        lexical_omission_rate=omissions / words,
-    )
+    cells_a, primary_a, gold_a, unseen_a = map(np.array, (cells, p_primary, p_gold, unseen))
+    unseen_words = int(np.count_nonzero(unseen_a))
+    omissions = int(np.count_nonzero(gold_a == -math.inf))
+    reports = []
+    for theta in thresholds:
+        retained = int(np.count_nonzero(cells_a >= theta) + np.count_nonzero(primary_a < theta))
+        missed = gold_a < theta
+        errors = int(np.count_nonzero(missed))
+        unseen_err = int(np.count_nonzero(missed & unseen_a))
+        reports.append(
+            EvalReport(
+                words=words,
+                errors=errors,
+                error_rate=errors / words,
+                ambiguity=retained / words,
+                unseen_words=unseen_words,
+                unseen_errors=unseen_err,
+                unseen_word_error_rate=unseen_err / words,
+                omissions=omissions,
+                lexical_omission_rate=omissions / words,
+            )
+        )
+    return reports if isinstance(threshold, list) else reports[0]
 
 
 def score(
@@ -143,12 +168,10 @@ def tradeoff_sweep(
     thresholds: list[float],
     mode: str = MODE_POSTERIOR,
 ) -> TradeoffTable:
-    decodes = decode_corpus(lex, trans, gold)
-    rows = []
-    for theta in thresholds:
-        rep = score_decodes(gold, decodes, lex, theta, mode)
-        rows.append((theta, rep.ambiguity, rep.error_rate))
-    return TradeoffTable(rows)
+    reports = score_decodes(gold, decode_corpus(lex, trans, gold), lex, list(thresholds), mode)
+    return TradeoffTable(
+        [(theta, rep.ambiguity, rep.error_rate) for theta, rep in zip(thresholds, reports)]
+    )
 
 
 def learning_curve(

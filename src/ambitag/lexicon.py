@@ -104,7 +104,8 @@ class LexicalModel:
         self.class_dists: dict[str, np.ndarray] = {}
         self._word_support: list[int] = []  # word tags with nonzero prior
         self._anchor = np.zeros(n)  # uniform over the supported word tags
-        self._dist_cache: dict[str, np.ndarray] = {}
+        self._dist_cache: dict[str, np.ndarray] = {}  # known surfaces only
+        self._last_unknown: tuple[str, np.ndarray] | None = None
 
     # -- training ----------------------------------------------------------
 
@@ -257,11 +258,19 @@ class LexicalModel:
             terminal = chain[-1]
             v = self._blend(terminal.term_counts, sum(terminal.term_counts.values()), dist)
         else:
+            # The cache holds only the model's own surfaces, so it stays
+            # bounded; the last unknown one is kept because a lattice looks a
+            # word up once per candidate.
+            last = self._last_unknown
+            if last is not None and last[0] == surface:
+                return last[1]
             dist = self._anchor
             for node in self._match_path(surface):
                 dist = self._blend(node.tag_counts, node.total, dist)
             w = self.config.class_mix
             v = (1.0 - w) * dist + w * self._class_dist(surface)
+            self._last_unknown = (surface, v)
+            return v
         self._dist_cache[surface] = v
         return v
 

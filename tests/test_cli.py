@@ -197,6 +197,16 @@ class TestTag:
         assert err.startswith("error: line ") and "'x' is not a positive integer" in err
         assert err.count("\n") == 1
 
+    def test_empty_surface_in_cohort_file_is_exit_2(self, ws, capsys):
+        model = train_model(ws)
+        cohorts = ws / "blank.cohorts"
+        cohorts.write_text("dog\tN V\n\tN V\n", encoding="utf-8")
+        rc = main(["tag", str(cohorts), "--model", model])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cohorts}:2: empty field in ")
+        assert err.count("\n") == 1
+
     def test_bad_trie_depth_is_exit_2(self, ws, capsys):
         model = ws / train_model(ws)
         lines = model.read_text(encoding="utf-8").splitlines()

@@ -4,14 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambitag.corpus import (
     AnnotatedSentence,
+    Cohort,
     Token,
     parse_annotated,
     split_for_learning_curve,
     word_count,
 )
+from ambitag.decoder import MODE_POSTERIOR, MODE_VITERBI, SentenceDecode, apply_threshold
 from ambitag.errors import InputError
 from ambitag.evalstats import (
     agreement_critical_rate,
@@ -107,6 +110,109 @@ class TestScoring:
         lex, trans = _train("dog\tN\n")
         with pytest.raises(InputError, match="empty"):
             score_decodes([], [], lex, 1.0)
+
+    def test_bad_threshold_and_mode_rejected(self):
+        lex, trans = _train("dog\tN\n")
+        gold = parse_annotated("dog\tN\n", TS)
+        decodes = decode_corpus(lex, trans, gold)
+        for theta in (1.5, -0.1, [0.5, 1.5]):
+            with pytest.raises(ValueError, match="threshold must be in"):
+                score_decodes(gold, decodes, lex, theta)
+        for theta in (0.5, [0.5, 0.1]):
+            with pytest.raises(ValueError, match="unknown mode"):
+                score_decodes(gold, decodes, lex, theta, "bogus")
+
+
+# Equivalence of the vectorised scorer with a word-by-word recount from
+# apply_threshold, the per-word rule that `tag` uses.
+
+TS4 = parse_tagset("N\nV\nA\n@dot\n")  # A never occurs in training: never a candidate
+TRAIN4 = parse_annotated("\n\n".join(["dog\tN\nruns\tV\n.\t@dot"] * 3 + ["runs\tN"]), TS4)
+LEX4 = LexicalModel.train(TRAIN4, TS4)
+TRANS4 = TransitionModel.train(TRAIN4, TS4)
+SURFACES = ["dog", "runs", ".", "cat", "Zz"]  # the last two are unseen
+POSTERIOR_VALUES = [0.0, 0.1, 0.25, 0.5, 1.0]  # few values, so ties are common
+
+
+def _recount(gold, decodes, lex, theta, mode):
+    errors = retained = unseen_errors = omissions = 0
+    for sent, dec in zip(gold, decodes):
+        words = apply_threshold(dec, theta, mode).words
+        for tok, gold_tag, w in zip(sent.tokens, sent.gold, words):
+            retained += len(w.retained)
+            omissions += gold_tag not in w.posterior
+            if gold_tag not in w.retained:
+                errors += 1
+                unseen_errors += not lex.is_known(tok.surface)
+    return errors, retained, unseen_errors, omissions
+
+
+def _assert_matches_recount(gold, decodes, data, mode):
+    # thresholds 0 and 1, plus posteriors that occur (exact ties) and any others;
+    # a posterior can round to just above 1, which is no valid threshold
+    occurring = sorted(
+        {min(p, 1.0) for dec in decodes for post in dec.posteriors for p in post.values()}
+    )
+    thresholds = [0.0, 1.0] + data.draw(
+        st.lists(st.sampled_from(occurring) | st.floats(0.0, 1.0), max_size=4)
+    )
+    reports = score_decodes(gold, decodes, LEX4, thresholds, mode)
+    assert len(reports) == len(thresholds)
+    words = word_count(gold)
+    for theta, rep in zip(thresholds, reports):
+        errors, retained, unseen_errors, omissions = _recount(gold, decodes, LEX4, theta, mode)
+        assert (rep.errors, rep.unseen_errors, rep.omissions) == (errors, unseen_errors, omissions)
+        assert rep.ambiguity == retained / words
+        assert rep == score_decodes(gold, decodes, LEX4, theta, mode)
+
+
+@st.composite
+def _synthetic_sentence(draw):
+    """A gold sentence and a made-up decode of it: random candidate sets,
+    posteriors from a few values (so ties are common) or any float in
+    [0, 1], and a Viterbi tag among the candidates."""
+    tokens, gold, cands, posts, vit = [], [], [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        ids = sorted(draw(st.sets(st.integers(0, len(TS4) - 1), min_size=1)))
+        tokens.append(Token(draw(st.sampled_from(SURFACES))))
+        gold.append(draw(st.sampled_from(TS4.tags)))
+        cands.append([TS4.by_index(i) for i in ids])
+        value = st.sampled_from(POSTERIOR_VALUES) | st.floats(0.0, 1.0)
+        posts.append({i: draw(value) for i in ids})
+        vit.append(draw(st.sampled_from(ids)))
+    cohorts = [Cohort(tok, cs) for tok, cs in zip(tokens, cands)]
+    return AnnotatedSentence(tokens, gold), SentenceDecode(cohorts, cands, posts, vit, 0.0, 0.0)
+
+
+class TestVectorisedScoring:
+    @given(
+        data=st.data(),
+        sentences=st.lists(_synthetic_sentence(), min_size=1, max_size=4),
+        mode=st.sampled_from([MODE_POSTERIOR, MODE_VITERBI]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_synthetic_posteriors_match_recount(self, data, sentences, mode):
+        gold, decodes = map(list, zip(*sentences))
+        _assert_matches_recount(gold, decodes, data, mode)
+
+    @given(
+        data=st.data(),
+        sentences=st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(SURFACES), st.sampled_from(TS4.tags)),
+                min_size=1, max_size=6,
+            ),
+            min_size=1, max_size=4,
+        ),
+        mode=st.sampled_from([MODE_POSTERIOR, MODE_VITERBI]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_decoded_corpus_matches_recount(self, data, sentences, mode):
+        gold = [
+            AnnotatedSentence([Token(s) for s, _ in sent], [tag for _, tag in sent])
+            for sent in sentences
+        ]
+        _assert_matches_recount(gold, decode_corpus(LEX4, TRANS4, gold), data, mode)
 
 
 class TestTradeoff:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambitag.corpus import parse_annotated
+from ambitag.corpus import Token, parse_annotated
+from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
 from ambitag.errors import ConfigError, InconsistentPriorError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
+from ambitag.ngram import TransitionModel
 from ambitag.tagset import parse_tagset
 
 from oracles import kl_divergence
@@ -241,6 +243,32 @@ class TestDegenerate:
             SmoothingConfig(class_mix=1.5)
         with pytest.raises(ConfigError):
             SmoothingConfig(known_threshold=0)
+
+
+class TestCache:
+    def test_unknown_surfaces_leave_the_cache_bounded(self):
+        corpus = parse_annotated(WALK_CORPUS + "\n.\t@fullstop\n", TS_NV)
+        model = LexicalModel.train(corpus, TS_NV)
+        trans = TransitionModel.train(corpus, TS_NV)
+        known = {s for s in [*model.word_counts, *model.punct_table] if model.is_known(s)}
+        # 1000 distinct unseen surfaces, ten to a sentence, each ending in a known word
+        sentences = [
+            [Token(f"{'Qz' if i % 2 else 'qz'}{10 * i + j}") for j in range(10)]
+            + [Token(sorted(known)[i % len(known)])]
+            for i in range(100)
+        ]
+
+        def tag_all():
+            out = []
+            for tokens in sentences:
+                result = tag_with_threshold(model, trans, cohorts_for_tokens(model, tokens), 0.1)
+                out.append([(w.retained, w.posterior) for w in result.words])
+            return out
+
+        first = tag_all()
+        assert set(model._dist_cache) == known
+        assert tag_all() == first
+        assert set(model._dist_cache) == known
 
 
 class TestCandidates:
