@@ -164,7 +164,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
     tagged = []
     for si, sent in enumerate(sentences):
         try:
-            result = apply_threshold(decode_sentence(lex, trans, sent), threshold, cfg.mode)
+            decode = decode_sentence(lex, trans, sent, with_viterbi=cfg.mode == MODE_VITERBI)
+            result = apply_threshold(decode, threshold, cfg.mode)
         except DeadLatticeError as exc:
             if not args.continue_on_error:
                 raise

@@ -6,14 +6,17 @@ P(tag|word)/P(tag) in place of emission probabilities; per-position
 normalization makes the posteriors exact and the per-word tag posterior is
 the sum of state posteriors sharing the emitted tag.  Viterbi runs in the
 log domain with first-maximum (= smallest predecessor state index)
-tie-breaking.  Retention keeps every tag whose posterior clears the
-threshold and never drops the primary tag.
+tie-breaking, and only when asked for: the default posterior mode takes
+each primary tag from the posteriors and never reads the Viterbi path.
+Retention keeps every tag whose posterior clears the threshold and never
+drops the primary tag.
 
 A lattice gathers each distinct (previous, current, next) candidate-set
-triple's transition block, and its log, once per sentence; every step with
-that triple shares the same read-only pair.  When every tag is a candidate,
-all interior steps share one block, so lattice memory does not grow with
-sentence length.
+triple's transition block once per sentence; every step with that triple
+shares the same read-only block.  When every tag is a candidate, all
+interior steps share one block, so lattice memory does not grow with
+sentence length.  Viterbi takes the log of each distinct block itself, once
+per call.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ class Lattice:
     # step t->t+1: (|C_t-1|, |C_t|, |C_t+1|), read-only; steps with the same
     # candidate-id triple reference one array
     tensors: list[np.ndarray]
-    log_tensors: list[np.ndarray]  # np.log of tensors[t], shared the same way
 
 
 def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohort]) -> Lattice:
@@ -52,28 +54,26 @@ def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohor
         raise ValueError("empty sentence")
     cand = [sorted(c.candidates, key=lambda t: t.index) for c in cohorts]
     ids = [[t.index for t in cs] for cs in cand]
-    aprime = [
-        np.array([lex.converse_lexical_prob(c.token.surface, t) for t in cs])
-        for c, cs in zip(cohorts, cand)
-    ]
+    aprime = [lex.converse_lexical_probs(c.token.surface, cs) for c, cs in zip(cohorts, cand)]
     b = trans.space.boundary_id
     init = trans.row(b, b).take(ids[0])
+    n = trans.space.n_symbols
+    pair_rows = trans.probs.reshape(n * n, n)  # row i * n + j is P[i, j, :]
     keys = [tuple(i) for i in ids]
-    blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # lives for this sentence
+    blocks: dict[tuple, np.ndarray] = {}  # lives for this sentence
     tensors: list[np.ndarray] = []
-    log_tensors: list[np.ndarray] = []
-    with np.errstate(divide="ignore"):
-        for key in zip([(b,)] + keys[:-2], keys, keys[1:]):
-            pair = blocks.get(key)
-            if pair is None:
-                block = trans.probs[np.ix_(*key)]
-                log_block = np.log(block)
-                block.setflags(write=False)
-                log_block.setflags(write=False)
-                pair = blocks[key] = (block, log_block)
-            tensors.append(pair[0])
-            log_tensors.append(pair[1])
-    return Lattice(cohorts, cand, ids, aprime, init, tensors, log_tensors)
+    for key in zip([(b,)] + keys[:-2], keys, keys[1:]):
+        block = blocks.get(key)
+        if block is None:
+            # Two index arrays rather than np.ix_'s three: numpy buffers each
+            # broadcast index array, and the third buffer nearly doubled the
+            # transient memory of a 30-tag gather.
+            prev, cur, nxt = key
+            pairs = np.add.outer(np.multiply(prev, n), cur)
+            block = blocks[key] = pair_rows[pairs[:, :, None], nxt]
+            block.setflags(write=False)
+        tensors.append(block)
+    return Lattice(cohorts, cand, ids, aprime, init, tensors)
 
 
 def _dead_lattice(lattice: Lattice, t: int) -> DeadLatticeError:
@@ -127,16 +127,28 @@ def tag_posteriors(lattice: Lattice, gammas: list[np.ndarray]) -> list[dict[int,
 
 @np.errstate(divide="ignore")
 def viterbi(lattice: Lattice) -> tuple[list[int], float]:
-    """Most probable tag-id sequence and its log score."""
+    """Most probable tag-id sequence and its log score.
+
+    Each distinct block is logged once, with the predecessor axis last
+    (b, c, a), so the max and argmax over predecessors read contiguous
+    memory and copy nothing.
+    """
     log_ap = [np.log(ap) for ap in lattice.aprime]
-    score = (np.log(lattice.init) + log_ap[0])[None, :]
+    log_blocks: dict[int, np.ndarray] = {}  # id(block) -> its log as (b, c, a)
+    score = (np.log(lattice.init) + log_ap[0])[None, :]  # (a, b)
     backptr: list[np.ndarray] = []
     for t in range(1, len(lattice.cohorts)):
         if not np.isfinite(score.max()):
             raise _dead_lattice(lattice, t - 1)
-        combined = lattice.log_tensors[t - 1] + score[:, :, None]
-        backptr.append(combined.argmax(axis=0))  # first max = smallest predecessor
-        score = combined.max(axis=0) + log_ap[t][None, :]
+        block = lattice.tensors[t - 1]
+        log_block = log_blocks.get(id(block))
+        if log_block is None:
+            log_block = block.transpose(1, 2, 0).copy()  # C order, writable
+            log_blocks[id(block)] = np.log(log_block, out=log_block)
+        combined = log_block + score.T[:, None, :]
+        backptr.append(combined.argmax(axis=2))  # first max = smallest predecessor
+        score = combined.max(axis=2) + log_ap[t][None, :]
+        del combined  # free it before the next step builds its own
     best_logp = float(score.max())
     if not np.isfinite(best_logp):
         raise _dead_lattice(lattice, len(lattice.cohorts) - 1)
@@ -153,20 +165,20 @@ def viterbi(lattice: Lattice) -> tuple[list[int], float]:
 
 @dataclass
 class SentenceDecode:
-    """Threshold-free decode: posteriors and the Viterbi path for one sentence."""
+    """Threshold-free decode of one sentence: posteriors, and the Viterbi
+    path when the decode was asked for it (None otherwise)."""
 
     cohorts: list[Cohort]
     candidates: list[list[Tag]]
     posteriors: list[dict[int, float]]
-    viterbi_ids: list[int]
-    viterbi_logp: float
+    viterbi_ids: list[int] | None
+    viterbi_logp: float | None
     log_likelihood: float  # log of the total relative-score path mass
 
 
 @dataclass
 class WordResult:
     posterior: dict[Tag, float]
-    viterbi_tag: Tag
     primary: Tag
     retained: list[Tag]
 
@@ -176,16 +188,25 @@ class TaggingResult:
     words: list[WordResult]
     mode: str
     threshold: float
-    viterbi_logp: float
 
 
-def decode_sentence(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohort]) -> SentenceDecode:
+def decode_sentence(
+    lex: LexicalModel,
+    trans: TransitionModel,
+    cohorts: list[Cohort],
+    with_viterbi: bool = True,
+) -> SentenceDecode:
+    """Posteriors for every word; the Viterbi path too when with_viterbi.
+
+    A dead lattice raises the same DeadLatticeError either way, since the
+    forward pass runs first and fails wherever Viterbi would.
+    """
     lattice = build_lattice(lex, trans, cohorts)
     alphas, scales = forward(lattice)
     betas = backward(lattice, scales)
     gammas = state_posteriors(alphas, betas)
     posts = tag_posteriors(lattice, gammas)
-    vit_ids, vit_logp = viterbi(lattice)
+    vit_ids, vit_logp = viterbi(lattice) if with_viterbi else (None, None)
     return SentenceDecode(
         cohorts=cohorts,
         candidates=lattice.cand,
@@ -200,6 +221,8 @@ def primary_ids(decode: SentenceDecode, mode: str = MODE_POSTERIOR) -> list[int]
     """Each word's primary tag id, which retention never drops: the Viterbi
     tag, or the posterior argmax with ties going to the smaller tag id."""
     if mode == MODE_VITERBI:
+        if decode.viterbi_ids is None:
+            raise ValueError("decode has no Viterbi path: decode with with_viterbi=True")
         return decode.viterbi_ids
     if mode == MODE_POSTERIOR:
         return [max(post, key=lambda i: (post[i], -i)) for post in decode.posteriors]
@@ -212,8 +235,8 @@ def apply_threshold(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     words = []
-    for cands, post, viterbi_id, primary_id in zip(
-        decode.candidates, decode.posteriors, decode.viterbi_ids, primary_ids(decode, mode)
+    for cands, post, primary_id in zip(
+        decode.candidates, decode.posteriors, primary_ids(decode, mode)
     ):
         by_index = {tag.index: tag for tag in cands}
         keep = {i for i in post if post[i] >= threshold}
@@ -222,14 +245,11 @@ def apply_threshold(
         words.append(
             WordResult(
                 posterior={by_index[i]: post[i] for i in post},
-                viterbi_tag=by_index[viterbi_id],
                 primary=by_index[primary_id],
                 retained=[by_index[i] for i in order],
             )
         )
-    return TaggingResult(
-        words=words, mode=mode, threshold=threshold, viterbi_logp=decode.viterbi_logp
-    )
+    return TaggingResult(words=words, mode=mode, threshold=threshold)
 
 
 def tag_with_threshold(
@@ -239,7 +259,8 @@ def tag_with_threshold(
     threshold: float,
     mode: str = MODE_POSTERIOR,
 ) -> TaggingResult:
-    return apply_threshold(decode_sentence(lex, trans, cohorts), threshold, mode)
+    decode = decode_sentence(lex, trans, cohorts, with_viterbi=mode == MODE_VITERBI)
+    return apply_threshold(decode, threshold, mode)
 
 
 def cohorts_for_tokens(lex: LexicalModel, tokens) -> list[Cohort]:

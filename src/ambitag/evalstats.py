@@ -19,6 +19,7 @@ import numpy as np
 from .corpus import AnnotatedSentence, word_count
 from .decoder import (
     MODE_POSTERIOR,
+    MODE_VITERBI,
     SentenceDecode,
     apply_threshold,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
     cohorts_for_tokens,
@@ -74,11 +75,14 @@ class AgreementTest:
 
 
 def decode_corpus(
-    lex: LexicalModel, trans: TransitionModel, corpus: list[AnnotatedSentence]
+    lex: LexicalModel,
+    trans: TransitionModel,
+    corpus: list[AnnotatedSentence],
+    with_viterbi: bool = True,
 ) -> list[SentenceDecode]:
     """One threshold-free decode per sentence, lattices from the lexicon."""
     return [
-        decode_sentence(lex, trans, cohorts_for_tokens(lex, sent.tokens))
+        decode_sentence(lex, trans, cohorts_for_tokens(lex, sent.tokens), with_viterbi)
         for sent in corpus
     ]
 
@@ -158,7 +162,8 @@ def score(
     threshold: float = 1.0,
     mode: str = MODE_POSTERIOR,
 ) -> EvalReport:
-    return score_decodes(gold, decode_corpus(lex, trans, gold), lex, threshold, mode)
+    decodes = decode_corpus(lex, trans, gold, mode == MODE_VITERBI)
+    return score_decodes(gold, decodes, lex, threshold, mode)
 
 
 def tradeoff_sweep(
@@ -168,7 +173,8 @@ def tradeoff_sweep(
     thresholds: list[float],
     mode: str = MODE_POSTERIOR,
 ) -> TradeoffTable:
-    reports = score_decodes(gold, decode_corpus(lex, trans, gold), lex, list(thresholds), mode)
+    decodes = decode_corpus(lex, trans, gold, mode == MODE_VITERBI)
+    reports = score_decodes(gold, decodes, lex, list(thresholds), mode)
     return TradeoffTable(
         [(theta, rep.ambiguity, rep.error_rate) for theta, rep in zip(thresholds, reports)]
     )

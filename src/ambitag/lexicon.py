@@ -101,6 +101,7 @@ class LexicalModel:
         n = len(tagset)
         self.priors = np.zeros(n)  # word-tag family
         self.punct_priors = np.zeros(n)
+        self._tag_priors = np.zeros(n)  # each tag's prior from its own family
         self.class_dists: dict[str, np.ndarray] = {}
         self._word_support: list[int] = []  # word tags with nonzero prior
         self._anchor = np.zeros(n)  # uniform over the supported word tags
@@ -198,8 +199,12 @@ class LexicalModel:
         return ids
 
     def _finish(self) -> None:
-        """Derive the supported word tags and the anchor from the priors."""
-        self._word_support = [i for i in self._word_tag_ids() if self.priors[i] > 0]
+        """Derive the per-tag priors, the supported word tags and the anchor
+        from the two families' priors."""
+        word_ids = self._word_tag_ids()
+        self._tag_priors = self.punct_priors.copy()
+        self._tag_priors[word_ids] = self.priors[word_ids]
+        self._word_support = [i for i in word_ids if self.priors[i] > 0]
         self._anchor = np.zeros(len(self.tagset))
         if self._word_support:
             self._anchor[self._word_support] = 1.0 / len(self._word_support)
@@ -284,17 +289,26 @@ class LexicalModel:
         v = self._dist_vector(surface)
         return {self.tagset.by_index(i): p for i, p in enumerate(v) if p > 0.0}
 
-    def converse_lexical_prob(self, surface: str, tag: Tag) -> float:
-        cond = self._dist_vector(surface)[tag.index]
-        prior = (self.priors if tag.cls == WORD else self.punct_priors)[tag.index]
-        if prior == 0.0:
-            if cond > 0.0:
+    def converse_lexical_probs(self, surface: str, tags: list[Tag]) -> np.ndarray:
+        """P(tag | surface) / P(tag) for each tag, the prior taken from the
+        tag's own family; 0 for a tag with zero prior and zero mass."""
+        ids = [t.index for t in tags]
+        cond = self._dist_vector(surface)[ids]
+        prior = self._tag_priors[ids]
+        zero = prior == 0.0
+        if zero.any():
+            bad = np.flatnonzero(zero & (cond > 0.0))
+            if bad.size:
+                j = bad[0]
                 raise InconsistentPriorError(
-                    f"inconsistent prior: tag {tag.symbol} has zero prior "
-                    f"but P({tag.symbol} | {surface!r}) = {cond}"
+                    f"inconsistent prior: tag {tags[j].symbol} has zero prior "
+                    f"but P({tags[j].symbol} | {surface!r}) = {cond[j]}"
                 )
-            return 0.0
+            prior = np.where(zero, 1.0, prior)  # cond is 0 there: scores 0
         return cond / prior
+
+    def converse_lexical_prob(self, surface: str, tag: Tag) -> float:
+        return float(self.converse_lexical_probs(surface, [tag])[0])
 
     def candidate_tags(self, surface: str) -> list[Tag]:
         """Tags with blended mass above support_epsilon, most probable first.

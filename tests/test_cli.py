@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import ambitag
+from ambitag import decoder
 from ambitag.cli import main
 from ambitag.corpus import parse_annotated, parse_cohorts, word_count
 from ambitag.modelfile import load_model
 from ambitag.tagset import load_tagset
+
+from oracles import brute_force_decode, path_weight
 
 TS_TEXT = "N\nV\n@dot\n"
 
@@ -185,6 +189,35 @@ class TestTag:
         assert "leaving ambiguous" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "aa\tN\naa\tN\n"
 
+    def test_dead_lattice_message_is_the_same_in_both_modes(self, ws, capsys):
+        model = self._dead_setup(ws)
+        errs = []
+        for mode in ("posterior", "viterbi"):
+            assert main(["tag", str(ws / "dead.cohorts"), "--model", model, "--mode", mode]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0] == (
+            "error: dead lattice at position 2 ('aa'): no path has nonzero probability\n"
+        )
+
+    def test_continue_on_error_line_is_the_same_in_both_modes(self, ws, capsys):
+        model = self._dead_setup(ws)
+        errs = []
+        for mode in ("posterior", "viterbi"):
+            out = ws / f"{mode}.cohorts"
+            rc = main(
+                ["tag", str(ws / "dead.cohorts"), "--model", model, "--mode", mode,
+                 "--continue-on-error", "--out", str(out)]
+            )
+            assert rc == 0
+            assert out.read_text(encoding="utf-8") == "aa\tN\naa\tN\n"
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0] == (
+            "sentence 1: dead lattice at position 2 ('aa'): "
+            "no path has nonzero probability; leaving ambiguous\n"
+        )
+
     def test_bad_trigram_count_is_exit_2(self, ws, capsys):
         model = ws / train_model(ws)
         lines = model.read_text(encoding="utf-8").splitlines()
@@ -218,6 +251,82 @@ class TestTag:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {idx + 1}: bad trie line ")
         assert err.count("\n") == 1
+
+
+class TestViterbiMode:
+    TAGS = ["A", "B", "C", "D"]
+    VOCAB = ["wa", "wb", "wc", "wd", "we"]
+
+    def _write_inputs(self, ws, seed):
+        rng = random.Random(seed)
+        (ws / "abcd.tags").write_text("\n".join(self.TAGS) + "\n@dot\n", encoding="utf-8")
+        blocks = []
+        for _ in range(60):
+            lines = [f"{rng.choice(self.VOCAB)}\t{rng.choice(self.TAGS)}"
+                     for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                lines.append(".\t@dot")
+            blocks.append("\n".join(lines))
+        (ws / "abcd.txt").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        blocks = []
+        for _ in range(25):
+            # unseen surfaces and narrowed candidate sets, some of one tag
+            lines = [
+                f"{rng.choice(self.VOCAB + ['zz', 'Qx'])}\t"
+                + " ".join(rng.sample(self.TAGS, rng.randint(1, len(self.TAGS))))
+                for _ in range(rng.randint(1, 5))
+            ]
+            if rng.random() < 0.3:
+                lines.append(".\t@dot")
+            blocks.append("\n".join(lines))
+        (ws / "abcd.cohorts").write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_threshold_one_keeps_exactly_the_best_path(self, ws, seed):
+        self._write_inputs(ws, seed)
+        model = str(ws / "abcd.model")
+        assert main(["train", str(ws / "abcd.txt"), "--tagset", str(ws / "abcd.tags"),
+                     "--model", model]) == 0
+        out = ws / "abcd.out"
+        rc = main(["tag", str(ws / "abcd.cohorts"), "--model", model, "--mode", "viterbi",
+                   "--threshold", "1.0", "--out", str(out)])
+        assert rc == 0
+        lex, trans = load_model(model)
+        inputs = parse_cohorts((ws / "abcd.cohorts").read_text(encoding="utf-8"), lex.tagset)
+        tagged = parse_cohorts(out.read_text(encoding="utf-8"), lex.tagset)
+        assert len(tagged) == len(inputs) == 25
+        for sent, got in zip(inputs, tagged):
+            ids = [sorted(t.index for t in c.candidates) for c in sent]
+            ap = [
+                {i: lex.converse_lexical_prob(c.token.surface, lex.tagset.by_index(i)) for i in pos}
+                for c, pos in zip(sent, ids)
+            ]
+            _, _, best, best_w = brute_force_decode(trans, ap, ids)
+            assert all(len(c.candidates) == 1 for c in got)
+            path = [c.candidates[0].index for c in got]
+            assert path == best
+            assert path_weight(trans, ap, path) == pytest.approx(best_w, rel=1e-12)
+
+
+class TestViterbiOnlyWhenAsked:
+    def test_posterior_mode_never_runs_viterbi(self, ws, monkeypatch):
+        model = train_model(ws)
+
+        def no_viterbi(lattice):
+            raise AssertionError("viterbi ran")
+
+        monkeypatch.setattr(decoder, "viterbi", no_viterbi)
+        gold, out = str(ws / "train.txt"), str(ws / "out.txt")
+        assert main(["tag", str(ws / "input.cohorts"), "--model", model,
+                     "--threshold", "0.1", "--out", out]) == 0
+        assert main(["eval", gold, "--model", model, "--out", out]) == 0
+        assert main(["sweep", gold, "--model", model, "--out", out]) == 0
+        assert main(["curve", gold, "--tagset", str(ws / "inventory.tags"),
+                     "--sizes", "4,8", "--eval-words", "6", "--out", out]) == 0
+        for command in ("tag", "eval", "sweep"):  # the patch is live: viterbi mode hits it
+            source = str(ws / "input.cohorts") if command == "tag" else gold
+            with pytest.raises(AssertionError, match="viterbi ran"):
+                main([command, source, "--model", model, "--mode", "viterbi", "--out", out])
 
 
 class TestImport:

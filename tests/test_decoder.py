@@ -18,6 +18,7 @@ from ambitag.decoder import (
     cohorts_for_tokens,
     decode_sentence,
     forward,
+    primary_ids,
     state_posteriors,
     tag_with_threshold,
     viterbi,
@@ -109,14 +110,14 @@ class TestInvariances:
         lex, trans = models(seed=5)
         cohorts = cohorts_for_tokens(lex, [Token("wa"), Token("wb"), Token("wa")])
         base = decode_sentence(lex, trans, cohorts)
-        orig = LexicalModel.converse_lexical_prob
-        lex.converse_lexical_prob = (
-            lambda s, t: orig(lex, s, t) * (7.0 if s == "wa" else 1.0)
+        orig = LexicalModel.converse_lexical_probs
+        lex.converse_lexical_probs = (
+            lambda s, tags: orig(lex, s, tags) * (7.0 if s == "wa" else 1.0)
         )
         try:
             scaled = decode_sentence(lex, trans, cohorts)
         finally:
-            del lex.converse_lexical_prob
+            del lex.converse_lexical_probs
         for p, q in zip(base.posteriors, scaled.posteriors):
             for i in p:
                 assert q[i] == pytest.approx(p[i], abs=1e-12)
@@ -266,8 +267,7 @@ class TestRetention:
         vit = apply_threshold(decode, 1.0, MODE_VITERBI)
         post = apply_threshold(decode, 1.0, MODE_POSTERIOR)
         for t, (wv, wp) in enumerate(zip(vit.words, post.words)):
-            assert wv.primary == wv.viterbi_tag
-            assert wv.viterbi_tag.index == decode.viterbi_ids[t]
+            assert wv.primary.index == decode.viterbi_ids[t]
             best = max(wp.posterior.items(), key=lambda kv: (kv[1], -kv[0].index))
             assert wp.primary == best[0]
 
@@ -314,6 +314,65 @@ class TestRetention:
                 assert {t for t, p in w.posterior.items() if p >= theta} <= retained
 
 
+class TestViterbiOnRequest:
+    def test_posterior_decode_has_no_viterbi_path(self):
+        lex, trans = models(seed=16)
+        cohorts = random_cohorts(random.Random(16), lex)
+        full = decode_sentence(lex, trans, cohorts)
+        lean = decode_sentence(lex, trans, cohorts, with_viterbi=False)
+        assert lean.viterbi_ids is None and lean.viterbi_logp is None
+        assert lean.posteriors == full.posteriors
+        assert lean.log_likelihood == full.log_likelihood
+        assert primary_ids(lean) == primary_ids(full)
+        with pytest.raises(ValueError, match="no Viterbi path"):
+            primary_ids(lean, MODE_VITERBI)
+        with pytest.raises(ValueError, match="no Viterbi path"):
+            apply_threshold(lean, 0.5, MODE_VITERBI)
+        with pytest.raises(ValueError, match="unknown mode"):
+            primary_ids(lean, "bogus")
+
+    def test_tag_with_threshold_decodes_what_the_mode_reads(self, monkeypatch):
+        lex, trans = models(seed=17)
+        cohorts = cohorts_for_tokens(lex, [Token("wa"), Token("wb"), Token("wc")])
+        want = decode_sentence(lex, trans, cohorts).viterbi_ids
+        result = tag_with_threshold(lex, trans, cohorts, 1.0, MODE_VITERBI)
+        assert [w.primary.index for w in result.words] == want
+
+        def no_viterbi(lattice):
+            raise AssertionError("viterbi ran")
+
+        monkeypatch.setattr("ambitag.decoder.viterbi", no_viterbi)
+        tag_with_threshold(lex, trans, cohorts, 0.5, MODE_POSTERIOR)
+
+    def test_dead_lattice_error_is_the_same_either_way(self):
+        lex, trans = TestDeadLattice()._sparse_models()
+        a = TS.tag("A")
+        cohorts = [Cohort(Token("aa"), [a]), Cohort(Token("aa"), [a])]
+        messages = []
+        for with_viterbi in (True, False):
+            with pytest.raises(DeadLatticeError) as err:
+                decode_sentence(lex, trans, cohorts, with_viterbi=with_viterbi)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(DeadLatticeError) as err:
+            viterbi(build_lattice(lex, trans, cohorts))
+        assert str(err.value) == messages[0]
+
+    def test_viterbi_matches_enumeration_on_shared_blocks(self):
+        # full and repeated candidate sets, so viterbi reuses each logged block
+        lex, trans, cohorts = TestLatticeBlocks()._dense_inputs(
+            n_tags=4, n_words=8, sets=[slice(None)] * 4 + [slice(1, 4)] * 4
+        )
+        lattice = build_lattice(lex, trans, cohorts)
+        assert lattice.tensors[1] is lattice.tensors[2]
+        assert lattice.tensors[5] is lattice.tensors[6]
+        path, logp = viterbi(lattice)
+        ap = [dict(zip(ids, ap)) for ids, ap in zip(lattice.ids, lattice.aprime)]
+        _, _, best, best_w = brute_force_decode(trans, ap, lattice.ids)
+        assert path == best
+        assert math.exp(logp) == pytest.approx(best_w, rel=1e-9)
+
+
 class TestCohortConstruction:
     def test_uses_model_candidates(self):
         lex, trans = models(seed=13)
@@ -358,15 +417,13 @@ class TestLatticeBlocks:
                 for i, a in enumerate(prev_ids[t]):
                     for j, bb in enumerate(lattice.ids[t]):
                         assert np.array_equal(block[i, j], trans.row(a, bb)[lattice.ids[t + 1]])
-                with np.errstate(divide="ignore"):
-                    assert np.array_equal(lattice.log_tensors[t], np.log(block))
+                assert not block.flags.writeable
 
     def test_dense_interior_steps_share_one_read_only_block(self):
         lattice, _ = self._dense_lattice()
         assert lattice.tensors[0].shape == (1, 30, 30)
         assert all(block is lattice.tensors[1] for block in lattice.tensors[1:])
-        assert all(log is lattice.log_tensors[1] for log in lattice.log_tensors[1:])
-        for block in lattice.tensors + lattice.log_tensors:
+        for block in lattice.tensors:
             assert not block.flags.writeable
 
     def test_build_holds_a_few_blocks_not_one_per_position(self):
@@ -381,6 +438,7 @@ class TestLatticeBlocks:
             tracemalloc.stop()
         assert len(lattice.tensors) == 39
         assert peak < 4 * block_bytes
+        assert peak < 2 * block_bytes  # the one shared block, no log copy
 
     def test_viterbi_holds_a_few_blocks_not_one_per_position(self):
         lattice, _ = self._dense_lattice()

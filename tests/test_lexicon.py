@@ -9,7 +9,7 @@ from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
 from ambitag.errors import ConfigError, InconsistentPriorError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
 from ambitag.ngram import TransitionModel
-from ambitag.tagset import parse_tagset
+from ambitag.tagset import WORD, parse_tagset
 
 from oracles import kl_divergence
 
@@ -33,8 +33,7 @@ def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
     s.tag_counts = {1: 2}
     s.total = 2
     model.priors = np.array([0.75, 0.25])
-    model._word_support = [0, 1]
-    model._anchor = np.array([0.5, 0.5])
+    model._finish()  # anchor [0.5, 0.5] over both supported tags
     anchor = model._anchor
     model.class_dists = {
         "capitalized": anchor.copy(),
@@ -223,13 +222,35 @@ class TestDegenerate:
     def test_inconsistent_prior_raises(self):
         model = LexicalModel(TS2)
         model.priors = np.array([1.0, 0.0])
+        model._finish()
         model._dist_cache["zz"] = np.array([0.5, 0.5])
         with pytest.raises(InconsistentPriorError, match="zz"):
             model.converse_lexical_prob("zz", TS2.tag("B"))
 
+    def test_vector_scores_take_each_prior_from_the_tags_family(self):
+        model = _train("walk\tN\nwalk\tV\n;\t@semicolon\n.\t@fullstop\n")
+        for surface in ("walk", ";", ".", "unseen"):
+            dist = model._dist_vector(surface)
+            want = []
+            for t in TS_NV:
+                prior = (model.priors if t.cls == WORD else model.punct_priors)[t.index]
+                want.append(dist[t.index] / prior if prior > 0.0 else 0.0)
+            assert list(model.converse_lexical_probs(surface, list(TS_NV))) == want
+
+    def test_vector_scores_name_the_first_inconsistent_tag(self):
+        ts = parse_tagset("A\nB\nC\n")
+        model = LexicalModel(ts)
+        model.priors = np.array([1.0, 0.0, 0.0])
+        model._finish()
+        model._dist_cache["zz"] = np.array([0.5, 0.0, 0.5])
+        assert list(model.converse_lexical_probs("zz", [ts.tag("A"), ts.tag("B")])) == [0.5, 0.0]
+        with pytest.raises(InconsistentPriorError, match=r"tag C has zero prior"):
+            model.converse_lexical_probs("zz", [ts.tag("B"), ts.tag("C"), ts.tag("A")])
+
     def test_zero_prior_zero_mass_scores_zero(self):
         model = LexicalModel(TS2)
         model.priors = np.array([1.0, 0.0])
+        model._finish()
         model._dist_cache["qq"] = np.array([1.0, 0.0])
         assert model.converse_lexical_prob("qq", TS2.tag("B")) == 0.0
 
