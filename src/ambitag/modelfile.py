@@ -5,7 +5,9 @@ priors, shape-class distributions, punctuation table, depth-first trie
 dump) followed by an ``ambitag-trans v1`` section (blend strength and raw
 trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
-is byte-identical.
+is byte-identical.  Trigram lines are written sorted and distinct; on load,
+duplicates sum.  Every count is a positive integer below 2^63, and so is the
+sum of the trigram counts, because they are merged as int64.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ModelFormatError, TagInventoryError
 from .lexicon import LexicalModel, SmoothingConfig, TrieNode
-from .ngram import TransitionModel
+from .ngram import StateSpace, TransitionModel
 from .tagset import TagSet
 
 LEX_HEADER = "ambitag-lex v1"
@@ -94,13 +96,10 @@ def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
 
     lines.append(TRANS_HEADER)
     lines.append(f"config k {trans.k!r}")
-    space = trans.space
+    names = list(trans.space.ids)
     lines.append(f"trigrams {len(trans.trigrams)}")
-    for a, b, c in sorted(trans.trigrams):
-        lines.append(
-            f"{space.symbol_name(a)} {space.symbol_name(b)} {space.symbol_name(c)} "
-            f"{trans.trigrams[(a, b, c)]}"
-        )
+    for a, b, c, n in zip(*trans.trigrams.T.tolist(), trans.counts.tolist()):
+        lines.append(f"{names[a]} {names[b]} {names[c]} {n}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,15 +154,18 @@ def _located(exc: Exception, lineno: int, line: str, what: str) -> InputError:
     return ModelFormatError(f"line {lineno}: {reason}")
 
 
+def _count(field: str, what: str) -> int:
+    """A positive integer in ASCII digits, below 2^63 so that it fits an int64."""
+    n = int(field) if field.isascii() and field.isdecimal() else 0
+    if not 0 < n < 2**63:
+        raise ModelFormatError(f"{what} count {field!r} is not a positive integer below 2^63")
+    return n
+
+
 def _term_counts(fields: list[str], lookup: dict[str, int]) -> dict[int, int]:
-    """``tag count tag count ...`` as {tag id: count}; counts are positive."""
-    counts = {}
-    for sym, count in zip(fields[0::2], fields[1::2], strict=True):
-        n = int(count) if count.isdecimal() else 0
-        if n == 0:
-            raise ModelFormatError(f"tag count {count!r} is not a positive integer")
-        counts[lookup[sym]] = n
-    return counts
+    """``tag count tag count ...`` as {tag id: count}."""
+    pairs = zip(fields[0::2], fields[1::2], strict=True)
+    return {lookup[sym]: _count(count, "tag") for sym, count in pairs}
 
 
 def _read_dist(lines: _Lines, header: str, lookup: dict[str, int]) -> np.ndarray:
@@ -236,21 +238,23 @@ def _read_trie(lines: _Lines, lex: LexicalModel) -> None:
         raise _located(exc, lineno, line, "trie line") from None
 
 
-def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> dict[tuple[int, int, int], int]:
-    """Each line is ``a b c count`` over symbol names, read with `ids`."""
-    trigrams: dict[tuple[int, int, int], int] = {}
+def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[list[int], list[int]]:
+    """Each line is ``a b c count``; the windows' `ids`, flat, and their counts."""
+    windows: list[int] = []
+    counts: list[int] = []
+    total = 0
     entries = lines.numbered(lines.count("trigrams "))
     try:
         for lineno, line in entries:
             a, b, c, count = line.split()
-            n = int(count) if count.isdecimal() else 0
-            if n == 0:
-                raise ModelFormatError(f"trigram count {count!r} is not a positive integer")
-            key = (ids[a], ids[b], ids[c])
-            trigrams[key] = trigrams.get(key, 0) + n
+            counts.append(_count(count, "trigram"))
+            total += counts[-1]
+            if total >= 2**63:
+                raise ModelFormatError("trigram counts sum to 2^63 or more")
+            windows += ids[a], ids[b], ids[c]
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "trigram line") from None
-    return trigrams
+    return windows, counts
 
 
 def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
@@ -279,17 +283,18 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
 
     lines.expect(TRANS_HEADER)
     try:
-        trans = TransitionModel(tagset, float(lines.expect("config k ")))
+        k = float(lines.expect("config k "))
     except ValueError:
         raise lines.bad("config line") from None
-    except ConfigError as exc:
-        raise lines.error(str(exc)) from None
-    # `probs` is derived on first use, so the counts can follow construction
-    trans.trigrams = _read_trigrams(lines, trans.space.ids)
+    k_lineno = lines.pos
+    windows, counts = _read_trigrams(lines, StateSpace(tagset).ids)
     for lineno, line in lines.numbered(len(lines.lines) - lines.pos):
         if line.strip():
             raise ModelFormatError(f"line {lineno}: trailing content in model file")
-    return lex, trans
+    try:
+        return lex, TransitionModel(tagset, k, windows, counts)
+    except ConfigError as exc:
+        raise ModelFormatError(f"line {k_lineno}: {exc}") from None
 
 
 def save_model(out: str | TextIO, lex: LexicalModel, trans: TransitionModel) -> None:

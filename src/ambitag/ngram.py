@@ -9,12 +9,16 @@ blends with the uniform distribution over the alphabet (tags plus the
 boundary symbol), all with the same rule the lexicon uses.  The lower
 levels are marginals of the trigram counts, so every level is a proper
 conditional; the blended model is one dense array P[a, b, c].
+
+The raw counts are two sorted arrays, the distinct windows and their int64
+counts: repeated windows sum, so all counts together must stay below 2^63.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -36,22 +40,10 @@ class StateSpace:
             raise TagInventoryError(
                 f"tag symbol {BOUNDARY!r} is reserved for the sentence boundary"
             )
-        self.tagset = tagset
         self.n_symbols = len(tagset) + 1
         self.boundary_id = len(tagset)
-        # symbol -> alphabet id; the model loader reads trigram lines with it
+        # symbol -> alphabet id, in id order; model files name symbols with it
         self.ids = {**tagset.lookup, BOUNDARY: self.boundary_id}
-
-    def symbol_name(self, sym_id: int) -> str:
-        if sym_id == self.boundary_id:
-            return BOUNDARY
-        return self.tagset.by_index(sym_id).symbol
-
-    def symbol_id(self, name: str) -> int:
-        try:
-            return self.ids[name]
-        except KeyError:
-            raise TagInventoryError(f"unknown tag symbol {name!r}") from None
 
 
 def _blend(counts: np.ndarray, parent: np.ndarray, k: float) -> np.ndarray:
@@ -67,25 +59,36 @@ class TransitionModel:
         self,
         tagset: TagSet,
         k: float = 1.0,
-        trigrams: dict[tuple[int, int, int], int] | None = None,
+        windows: np.typing.ArrayLike = (),
+        weights: np.typing.ArrayLike | None = None,
     ):
+        """Count `windows`, symbol-id triples (a, b, c) in any order, shape (m, 3)
+        or flat, each `weights[i]` times or once: ``trigrams`` holds the distinct
+        windows, sorted ascending, and ``counts`` their int64 counts.  Ids are
+        held in the smallest unsigned type that fits them, to save memory."""
         if not 0.0 <= k < math.inf:
             raise ConfigError(f"blend strength must be finite and >= 0, got {k}")
         self.space = StateSpace(tagset)
         self.k = float(k)
-        self.trigrams = trigrams or {}
+        shape = (self.space.n_symbols,) * 3
+        ids = np.asarray(windows, np.min_scalar_type(shape[0])).reshape(-1, 3)
+        codes = np.ravel_multi_index(ids.T, shape)
+        if weights is None:  # a few times less scratch memory than the inverse
+            codes, self.counts = np.unique(codes, return_counts=True)
+        else:
+            codes, where = np.unique(codes, return_inverse=True)
+            self.counts = np.zeros(len(codes), np.int64)
+            np.add.at(self.counts, where, np.asarray(weights, np.int64))
+        self.trigrams = np.stack(np.unravel_index(codes, shape), axis=1)
 
     @classmethod
     def train(
         cls, corpus: list[AnnotatedSentence], tagset: TagSet, k: float = 1.0
     ) -> "TransitionModel":
         b = StateSpace(tagset).boundary_id
-        trigrams: dict[tuple[int, int, int], int] = {}
-        for sent in corpus:
-            seq = [b, b] + [t.index for t in sent.gold] + [b]
-            for key in zip(seq, seq[1:], seq[2:]):
-                trigrams[key] = trigrams.get(key, 0) + 1
-        return cls(tagset, k, trigrams)
+        seqs = ([b, b, *(t.index for t in sent.gold), b] for sent in corpus)
+        windows = chain.from_iterable(zip(s, s[1:], s[2:]) for s in seqs)
+        return cls(tagset, k, np.fromiter(windows, np.dtype((np.min_scalar_type(b + 1), 3))))
 
     # Built on first use rather than in __init__: `train` never decodes, and
     # at 83 tags the array is 84^3 floats (4.7 MB) it would only carry around.
@@ -94,8 +97,7 @@ class TransitionModel:
         """P[a, b, c] = P(next symbol c | previous two symbols a, b)."""
         n = self.space.n_symbols
         counts = np.zeros((n, n, n))
-        if self.trigrams:
-            counts[tuple(np.array(list(self.trigrams)).T)] = list(self.trigrams.values())
+        counts[tuple(self.trigrams.T)] = self.counts
         p = np.full(n, 1.0 / n)
         for level in (counts.sum(axis=(0, 1)), counts.sum(axis=0), counts):
             p = _blend(level, p, self.k)
@@ -105,12 +107,3 @@ class TransitionModel:
     def row(self, a: int, bb: int) -> np.ndarray:
         """P(next symbol | previous two symbols a, b) over the alphabet."""
         return self.probs[a, bb]
-
-    def transition_prob(self, s_from: tuple[int, int], s_to: tuple[int, int]) -> float:
-        n = self.space.n_symbols
-        for s in (s_from, s_to):
-            if not (0 <= s[0] < n and 0 <= s[1] < n):
-                raise ConfigError(f"state {s} outside the state space")
-        if s_from[1] != s_to[0]:
-            return 0.0
-        return float(self.row(s_from[0], s_from[1])[s_to[1]])

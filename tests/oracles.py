@@ -13,22 +13,17 @@ import itertools
 def brute_force_decode(trans, aprime, ids):
     """Exhaustively enumerate every tag path of a lattice.
 
-    trans: transition model (queried only through transition_prob);
+    trans: transition model (queried only through its array probs[a, b, c]);
     aprime: per-position dict tag_id -> relative lexical score;
     ids: per-position candidate id lists.
 
     Returns (total_mass, per-position posterior dicts, best_path, best_weight).
     """
-    boundary = trans.space.boundary_id
     total = 0.0
     post = [dict.fromkeys(c, 0.0) for c in ids]
     best_path, best_w = None, -1.0
     for path in itertools.product(*ids):
-        w = 1.0
-        hist = (boundary, boundary)
-        for t, c in enumerate(path):
-            w *= trans.transition_prob(hist, (hist[1], c)) * aprime[t][c]
-            hist = (hist[1], c)
+        w = path_weight(trans, aprime, path)
         total += w
         for t, c in enumerate(path):
             post[t][c] += w
@@ -44,7 +39,7 @@ def path_weight(trans, aprime, path):
     w = 1.0
     hist = (boundary, boundary)
     for t, c in enumerate(path):
-        w *= trans.transition_prob(hist, (hist[1], c)) * aprime[t][c]
+        w *= float(trans.probs[hist[0], hist[1], c]) * aprime[t][c]
         hist = (hist[1], c)
     return w
 

@@ -64,7 +64,7 @@ class TestTrain:
         assert f"words {word_count(parse_annotated(TRAIN_TEXT, load_tagset(str(ws / 'inventory.tags'))))}\n" in out
         assert "tagset-coverage 3/3" in out
         lex, trans = load_model(model)
-        assert lex.is_known("dog") and trans.trigrams
+        assert lex.is_known("dog") and len(trans.trigrams) > 0
 
     def test_retrain_is_byte_identical(self, ws):
         a = train_model(ws)
@@ -228,6 +228,20 @@ class TestTag:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "'x' is not a positive integer" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["tag", "sweep"])
+    def test_trigram_count_of_2_63_is_exit_2(self, ws, capsys, command):
+        model = ws / train_model(ws)
+        lines = model.read_text(encoding="utf-8").splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("trigrams ")) + 1
+        lines[idx] = lines[idx].rsplit(" ", 1)[0] + f" {2**63}"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = ws / ("input.cohorts" if command == "tag" else "train.txt")
+        capsys.readouterr()
+        assert main([command, str(data), "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {idx + 1}: ") and "below 2^63" in err
         assert err.count("\n") == 1
 
     def test_empty_surface_in_cohort_file_is_exit_2(self, ws, capsys):

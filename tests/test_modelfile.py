@@ -114,8 +114,26 @@ class TestRoundTrip:
     def test_trigram_counts_survive(self):
         lex, trans = trained()
         _, trans2 = loads_model(dumps_model(lex, trans))
-        assert trans2.trigrams == trans.trigrams
+        assert np.array_equal(trans2.trigrams, trans.trigrams)
+        assert np.array_equal(trans2.counts, trans.counts)
         assert trans2.k == trans.k
+
+    def test_shuffled_and_duplicated_trigram_lines_merge(self):
+        text = dumps_model(*trained())
+        head, body = text.split("trigrams ", 1)
+        n, *entries = body.splitlines()
+        assert int(n) == len(entries) > 3
+        # split every count into two lines, then shuffle all of them
+        halves = []
+        for entry in entries:
+            window, count = entry.rsplit(" ", 1)
+            halves += [f"{window} {int(count) - 1}", f"{window} 1"]
+        halves = [h for h in halves if not h.endswith(" 0")]
+        random.Random(3).shuffle(halves)
+        shuffled = head + f"trigrams {len(halves)}\n" + "\n".join(halves) + "\n"
+        lex, trans = loads_model(shuffled)
+        assert len(halves) > len(entries) == len(trans.trigrams)
+        assert dumps_model(lex, trans) == text
 
 
 class TestCharEscaping:
@@ -200,13 +218,39 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="trigram"):
             loads_model("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("count", ["x", "0", "-3", "1.5", "+2"])
+    @pytest.mark.parametrize("count", ["x", "0", "-3", "1.5", "+2", "\u0663"])
     def test_bad_trigram_count(self, count):
         lines = self.dump().splitlines()
         idx = next(i for i, l in enumerate(lines) if l.startswith("trigrams")) + 1
         lines[idx] = lines[idx].rsplit(" ", 1)[0] + " " + count
         with pytest.raises(ModelFormatError, match=f"line {idx + 1}: trigram count"):
             loads_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count", [str(2**63), "9" * 400], ids=["2^63", "400-digit"])
+    @pytest.mark.parametrize(
+        "prefix,offset,what", [("trigrams ", 1, "trigram"), ("trie ", 3, "tag"), ("punct-table ", 1, "tag")]
+    )
+    def test_count_of_2_63_or_more(self, prefix, offset, what, count):
+        bad, lineno = _mutated(self.dump(), prefix, offset, lambda l: l.rsplit(" ", 1)[0] + " " + count)
+        with pytest.raises(
+            ModelFormatError, match=rf"^line {lineno}: {what} count '{count}' is not a positive integer below 2\^63$"
+        ):
+            loads_model(bad)
+
+    def test_trigram_counts_must_sum_below_2_63(self):
+        lines = self.dump().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("trigrams")) + 1
+        window = [l.rsplit(" ", 1)[0] for l in lines[idx:]]
+        # the running total reaches 2^63 on the second trigram line
+        big = lines[:idx] + [f"{window[0]} {2**62}", f"{window[1]} {2**62}"] + lines[idx + 2 :]
+        with pytest.raises(ModelFormatError, match=rf"^line {idx + 2}: trigram counts sum to 2\^63 or more$"):
+            loads_model("\n".join(big) + "\n")
+        # one below the limit loads, and the int64 merge does not wrap
+        others = sum(int(l.rsplit(" ", 1)[1]) for l in lines[idx + 1 :])
+        lines[idx] = f"{window[0]} {2**63 - 1 - others}"
+        _, trans = loads_model("\n".join(lines) + "\n")
+        assert int(trans.counts.sum()) == 2**63 - 1
+        assert np.isfinite(trans.probs).all()
 
     def test_punctuation_only_inventory(self):
         ts = parse_tagset("@dot\n@comma\n")
@@ -250,7 +294,7 @@ BAD_FIELDS = {
 DUMP = dumps_model(*trained())
 # The property test replaces one field of DUMP with one of these or with
 # short random text.
-ODD_FIELDS = ["", "x", "-1", "0", "1.5", "nan", "1e999", "99999", "+2", "<s>", "N", "\\uZZZZ"]
+ODD_FIELDS = ["", "x", "-1", "0", "1.5", "nan", "1e999", "99999", "9" * 400, "+2", "<s>", "N", "\\uZZZZ"]
 
 
 class TestMalformedFields:
@@ -282,9 +326,13 @@ class TestMalformedFields:
         fields[j] = data.draw(st.sampled_from(ODD_FIELDS) | st.text(max_size=3))
         lines[idx] = " ".join(fields)
         try:
-            loads_model("\n".join(lines) + "\n")
+            lex, trans = loads_model("\n".join(lines) + "\n")
         except InputError:
-            pass
+            return
+        # a model that loads must also work on first use
+        trans.probs
+        for surface in ("walk", "the", "talks", ".", ",", "Xyz"):
+            lex.candidate_tags(surface)
 
 
 class TestLongSurface:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ambitag.corpus import parse_annotated
 from ambitag.errors import ConfigError, TagInventoryError
 from ambitag.ngram import BOUNDARY, StateSpace, TransitionModel
+from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import parse_tagset
 
 from oracles import blended_transition_oracle
@@ -20,21 +22,29 @@ def _train(text: str, k=1.0) -> TransitionModel:
     return TransitionModel.train(parse_annotated(text, TS3), TS3, k=k)
 
 
+def window_counts(corpus, boundary: int) -> Counter:
+    """Every trigram window of each padded sentence  ⊥ ⊥ t1 .. tn ⊥ , counted."""
+    counts: Counter = Counter()
+    for sent in corpus:
+        seq = (boundary, boundary, *(t.index for t in sent.gold), boundary)
+        counts.update(seq[i : i + 3] for i in range(len(seq) - 2))
+    return counts
+
+
+def _text_counts(text: str) -> Counter:
+    return window_counts(parse_annotated(text, TS3), B)
+
+
 class TestStateSpace:
     def test_alphabet(self):
         sp = StateSpace(TS3)
         assert sp.n_symbols == 4
         assert sp.boundary_id == 3
-        assert sp.symbol_name(3) == BOUNDARY
-        assert sp.symbol_id(BOUNDARY) == 3
-        assert sp.symbol_name(0) == "A"
-        assert sp.symbol_id("C") == 2
 
     def test_symbol_ids_extend_the_tag_lookup(self):
         sp = StateSpace(TS3)
         assert sp.ids == {**TS3.lookup, BOUNDARY: 3}
-        with pytest.raises(TagInventoryError, match="'D'"):
-            sp.symbol_id("D")
+        assert list(sp.ids) == ["A", "B", "C", BOUNDARY]
 
     def test_boundary_symbol_is_not_a_tag(self):
         with pytest.raises(TagInventoryError, match="reserved"):
@@ -44,24 +54,49 @@ class TestStateSpace:
 class TestCounting:
     def test_single_sentence_padding(self):
         model = _train("a\tA\nb\tB\n")
-        # ⊥ ⊥ A B ⊥  ->  (⊥⊥A) (⊥AB) (AB⊥): n+1 windows for n=2
-        assert model.trigrams == {(B, B, 0): 1, (B, 0, 1): 1, (0, 1, B): 1}
+        # ⊥ ⊥ A B ⊥  ->  (⊥⊥A) (⊥AB) (AB⊥): n+1 windows for n=2, sorted
+        assert model.trigrams.tolist() == [[0, 1, B], [B, 0, 1], [B, B, 0]]
+        assert model.counts.tolist() == [1, 1, 1]
+        assert model.counts.dtype == np.int64
 
     def test_window_count_is_words_plus_one(self):
         text = "a\tA\nb\tB\nc\tC\n\na\tA\n"
         model = _train(text)
-        assert sum(model.trigrams.values()) == (3 + 1) + (1 + 1)
+        assert model.counts.sum() == (3 + 1) + (1 + 1)
+
+    @pytest.mark.parametrize("n_tags,words,seed", [(3, 200, 1), (8, 3000, 2), (20, 5000, 3)])
+    def test_counts_match_a_counter_over_padded_windows(self, n_tags, words, seed):
+        hmm = build_synthetic_hmm(n_tags=n_tags, vocab=100, seed=seed)
+        corpus = sample_corpus(hmm, words, seed=seed)
+        model = TransitionModel.train(corpus, hmm.tagset)
+        want = window_counts(corpus, len(hmm.tagset))
+        assert model.trigrams.tolist() == sorted(map(list, want))
+        assert model.counts.tolist() == [want[tuple(w)] for w in model.trigrams.tolist()]
+
+    def test_windows_in_any_order_merge_by_weight(self):
+        windows = [(B, 0, B), (B, B, 0), (0, 1, 2), (B, 0, B), (B, B, 0), (B, 0, B)]
+        model = TransitionModel(TS3, 1.0, windows, [2, 1, 5, 3, 4, 1])
+        assert model.trigrams.tolist() == [[0, 1, 2], [B, 0, B], [B, B, 0]]
+        assert model.counts.tolist() == [5, 6, 5]
+        unweighted = TransitionModel(TS3, 1.0, windows)
+        assert unweighted.counts.tolist() == [1, 3, 2]
+
+    def test_no_windows(self):
+        model = TransitionModel(TS3)
+        assert model.trigrams.shape == (0, 3)
+        assert model.counts.shape == (0,)
 
     def test_k_zero_recovers_relative_frequencies(self):
         model = _train("a\tA\nb\tB\n", k=0.0)
-        assert model.transition_prob((B, B), (B, 0)) == 1.0
-        assert model.transition_prob((B, 0), (0, 1)) == 1.0
-        assert model.transition_prob((0, 1), (1, B)) == 1.0
+        assert model.probs[B, B, 0] == 1.0
+        assert model.probs[B, 0, 1] == 1.0
+        assert model.probs[0, 1, B] == 1.0
 
     def test_retrain_is_bit_identical(self):
         text = "a\tA\nb\tB\nc\tC\n\nb\tB\na\tA\n"
         m1, m2 = _train(text, k=0.7), _train(text, k=0.7)
-        assert m1.trigrams == m2.trigrams
+        assert np.array_equal(m1.trigrams, m2.trigrams)
+        assert np.array_equal(m1.counts, m2.counts)
         for a in range(4):
             for bb in range(4):
                 assert np.array_equal(m1.row(a, bb), m2.row(a, bb))
@@ -79,7 +114,7 @@ class TestBlending:
     def test_matches_independent_recursion(self, text, k):
         model = _train(text, k=k)
         for a, bb, c in itertools.product(range(4), repeat=3):
-            want = blended_transition_oracle(model.trigrams, 4, k, a, bb, c)
+            want = blended_transition_oracle(_text_counts(text), 4, k, a, bb, c)
             assert model.row(a, bb)[c] == want  # same arithmetic, so bit for bit
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 10.0])
@@ -94,7 +129,8 @@ class TestBlending:
         assert unigram.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unseen_context_with_k_zero_falls_back(self):
-        model = _train("a\tA\nb\tB\n", k=0.0)
+        text = "a\tA\nb\tB\n"
+        model = _train(text, k=0.0)
         # (A,A) never occurs: the row is the bigram level after A, and A is
         # only ever followed by B
         assert np.array_equal(model.row(0, 0), [0.0, 1.0, 0.0, 0.0])
@@ -102,7 +138,7 @@ class TestBlending:
         # (one window each ends in A, B and the boundary)
         assert np.array_equal(model.row(2, 2), [1 / 3, 1 / 3, 0.0, 1 / 3])
         for a, bb in ((0, 0), (2, 2)):
-            want = [blended_transition_oracle(model.trigrams, 4, 0.0, a, bb, c) for c in range(4)]
+            want = [blended_transition_oracle(_text_counts(text), 4, 0.0, a, bb, c) for c in range(4)]
             assert np.array_equal(model.row(a, bb), want)
 
     def test_large_k_approaches_uniform(self):
@@ -122,22 +158,12 @@ class TestBlending:
         for k in (0.1, 1.0, 10.0, 100.0):
             model = _train(text, k=k)
             # the oracle at a context outside the alphabet is the unigram level
-            uni = [blended_transition_oracle(model.trigrams, 4, k, -1, -1, c) for c in range(4)]
+            uni = [blended_transition_oracle(_text_counts(text), 4, k, -1, -1, c) for c in range(4)]
             dists.append(np.abs(model.row(B, B) - uni).sum())
         assert all(a >= b - 1e-15 for a, b in zip(dists, dists[1:]))
 
 
 class TestStructure:
-    def test_structural_zero_on_middle_mismatch(self):
-        model = _train("a\tA\nb\tB\n")
-        assert model.transition_prob((0, 1), (2, 0)) == 0.0
-        assert model.transition_prob((0, 1), (1, 0)) > 0.0
-
-    def test_range_check(self):
-        model = _train("a\tA\n")
-        with pytest.raises(ConfigError):
-            model.transition_prob((0, 4), (4, 0))
-
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):
             TransitionModel(TS3, k=-0.5)
@@ -148,11 +174,11 @@ class TestStructure:
             TransitionModel(TS3, k=k)
 
     def test_model_from_manual_counts(self):
-        model = TransitionModel(TS3, k=0.0, trigrams={(B, B, 0): 3, (B, 0, B): 3})
-        assert model.transition_prob((B, B), (B, 0)) == 1.0
-        assert model.transition_prob((B, 0), (0, B)) == 1.0
-        model = TransitionModel(TS3, k=0.0, trigrams={(B, B, 0): 3, (B, 0, B): 3, (B, B, 1): 3})
-        assert model.transition_prob((B, B), (B, 0)) == 0.5
+        model = TransitionModel(TS3, 0.0, [(B, B, 0), (B, 0, B)], [3, 3])
+        assert model.probs[B, B, 0] == 1.0
+        assert model.probs[B, 0, B] == 1.0
+        model = TransitionModel(TS3, 0.0, [(B, B, 0), (B, 0, B), (B, B, 1)], [3, 3, 3])
+        assert model.probs[B, B, 0] == 0.5
 
 
 class TestDenseArray:
