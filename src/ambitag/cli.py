@@ -46,17 +46,6 @@ class RunConfig:
     mode: str = MODE_POSTERIOR
     seed: int = 0
 
-    def to_text(self) -> str:
-        return "".join(
-            f"{f.name} = {getattr(self, f.name)}\n" for f in dataclasses.fields(self)
-        )
-
-    @classmethod
-    def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
-        cfg = cls()
-        cfg.update_from_text(text, source)
-        return cfg
-
     def update_from_text(self, text: str, source: str = "<config>") -> None:
         types = {f.name: f.type for f in dataclasses.fields(self)}
         for lineno, raw in enumerate(text.splitlines(), start=1):

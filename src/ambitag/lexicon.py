@@ -1,10 +1,13 @@
 """Reverse-suffix-trie lexicon: smoothed P(tag | word) and the relative
 lexical scores P(tag | word) / P(tag) the decoder consumes.
 
-Words are stored spelled backwards, so nodes correspond to suffixes.  A
+Words are stored spelled backwards, so nodes correspond to suffixes.  The
+model is built once, from word surfaces and their tag counts: inserting a
+surface adds its counts to every node on its path, so each node holds the
+counts of the words in its subtree, and a repeated surface sums.  A
 node's distribution is blended with its parent's, top-down from a uniform
 anchor: P_node(x) = (c(node,x) + k * P_parent(x)) / (c(node) + k).  Known
-words blend their own terminal counts with the aggregate distributions of
+words blend their own terminal counts with the subtree distributions of
 the nearest branching ancestors; unknown words blend the whole matched
 path from the root and are then mixed with a shape-class distribution.
 Punctuation surfaces bypass the trie entirely (exact-match table).
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,58 +57,77 @@ class SmoothingConfig:
 
 
 class TrieNode:
-    __slots__ = ("char", "children", "term_counts", "tag_counts", "total")
+    __slots__ = ("children", "term_counts", "tag_counts", "total")
 
-    def __init__(self, char: str = ""):
-        self.char = char
+    def __init__(self):
         self.children: dict[str, TrieNode] = {}
         self.term_counts: dict[int, int] = {}  # words ending exactly here
-        self.tag_counts: dict[int, int] = {}  # subtree aggregate
+        self.tag_counts: dict[int, int] = {}  # words ending in this subtree
         self.total = 0
 
     @property
-    def terminal(self) -> bool:
-        return bool(self.term_counts)
-
-    @property
     def branching(self) -> bool:
-        return self.terminal or len(self.children) >= 2
+        return bool(self.term_counts) or len(self.children) >= 2
 
-    def child(self, char: str) -> TrieNode:
-        node = self.children.get(char)
-        if node is None:
-            node = self.children[char] = TrieNode(char)
-        return node
 
-    def aggregate(self) -> None:
-        """Fill tag_counts and total for the whole subtree.  Iterative, so a
-        long surface cannot exhaust the recursion limit."""
-        order = [self]
-        for node in order:  # breadth-first: the list grows while it is read
-            order.extend(node.children.values())
-        for node in reversed(order):  # children before their parent
-            counts = dict(node.term_counts)
-            for child in node.children.values():
-                for t, c in child.tag_counts.items():
-                    counts[t] = counts.get(t, 0) + c
-            node.tag_counts = counts
-            node.total = sum(counts.values())
+def _word_tag_ids(tagset: TagSet) -> list[int]:
+    ids = [t.index for t in tagset.word_tags()]
+    if not ids:
+        raise TagInventoryError("tag inventory has no word tags")
+    return ids
+
+
+def _anchor(priors: np.ndarray, word_ids: list[int]) -> np.ndarray:
+    """Uniform over the word tags with nonzero prior."""
+    support = [i for i in word_ids if priors[i] > 0]
+    anchor = np.zeros(len(priors))
+    if support:
+        anchor[support] = 1.0 / len(support)
+    return anchor
 
 
 class LexicalModel:
-    def __init__(self, tagset: TagSet, config: SmoothingConfig | None = None):
+    def __init__(
+        self,
+        tagset: TagSet,
+        config: SmoothingConfig,
+        priors: np.ndarray,
+        punct_priors: np.ndarray,
+        class_dists: dict[str, np.ndarray],
+        punct_table: dict[str, dict[int, int]],
+        surfaces: Iterable[tuple[str, dict[int, int]]],
+    ):
+        """The trie holds `surfaces`, (surface, {tag id: count}) pairs; a repeated
+        surface sums.  `priors` and `punct_priors` are each tag family's priors."""
+        word_ids = _word_tag_ids(tagset)
         self.tagset = tagset
-        self.config = config or SmoothingConfig()
+        self.config = config
+        self.priors = priors
+        self.punct_priors = punct_priors
+        self.class_dists = class_dists
+        self.punct_table = punct_table
         self.root = TrieNode()
         self.word_counts: dict[str, int] = {}
-        self.punct_table: dict[str, dict[int, int]] = {}
-        n = len(tagset)
-        self.priors = np.zeros(n)  # word-tag family
-        self.punct_priors = np.zeros(n)
-        self._tag_priors = np.zeros(n)  # each tag's prior from its own family
-        self.class_dists: dict[str, np.ndarray] = {}
-        self._word_support: list[int] = []  # word tags with nonzero prior
-        self._anchor = np.zeros(n)  # uniform over the supported word tags
+        for surface, counts in surfaces:
+            n = sum(counts.values())
+            self.word_counts[surface] = self.word_counts.get(surface, 0) + n
+            node = self.root
+            path = [node]
+            for ch in reversed(surface):
+                child = node.children.get(ch)
+                if child is None:
+                    child = node.children[ch] = TrieNode()
+                path.append(node := child)
+            for t, c in counts.items():
+                node.term_counts[t] = node.term_counts.get(t, 0) + c
+            for node in path:
+                node.total += n
+                into = node.tag_counts
+                for t, c in counts.items():
+                    into[t] = into.get(t, 0) + c
+        self._tag_priors = punct_priors.copy()  # each tag's prior from its own family
+        self._tag_priors[word_ids] = priors[word_ids]
+        self._anchor = _anchor(priors, word_ids)
         self._dist_cache: dict[str, np.ndarray] = {}  # known surfaces only
         self._last_unknown: tuple[str, np.ndarray] | None = None
 
@@ -117,9 +140,9 @@ class LexicalModel:
         tagset: TagSet,
         config: SmoothingConfig | None = None,
     ) -> "LexicalModel":
-        model = cls(tagset, config)
+        config = config or SmoothingConfig()
         n = len(tagset)
-        word_idx = model._word_tag_ids()
+        word_idx = _word_tag_ids(tagset)
         punct_idx = [t.index for t in tagset.punctuation_tags()]
 
         # Surfaces that ever carry a punctuation tag resolve to the
@@ -133,6 +156,7 @@ class LexicalModel:
 
         word_tag_counts = np.zeros(n)
         punct_tag_counts = np.zeros(n)
+        punct_table: dict[str, dict[int, int]] = {}
         surface_tags: dict[str, dict[int, int]] = {}
         for sent in corpus:
             for tok, tag in zip(sent.tokens, sent.gold):
@@ -140,43 +164,31 @@ class LexicalModel:
                     word_tag_counts[tag.index] += 1
                 else:
                     punct_tag_counts[tag.index] += 1
-                if tok.surface in punct_surfaces:
-                    row = model.punct_table.setdefault(tok.surface, {})
-                    row[tag.index] = row.get(tag.index, 0) + 1
-                else:
-                    row = surface_tags.setdefault(tok.surface, {})
-                    row[tag.index] = row.get(tag.index, 0) + 1
+                table = punct_table if tok.surface in punct_surfaces else surface_tags
+                row = table.setdefault(tok.surface, {})
+                row[tag.index] = row.get(tag.index, 0) + 1
 
-        for surface, counts in surface_tags.items():
-            model.word_counts[surface] = sum(counts.values())
-            node = model.root
-            for ch in reversed(surface):
-                node = node.child(ch)
-            for t, c in counts.items():
-                node.term_counts[t] = node.term_counts.get(t, 0) + c
-        model.root.aggregate()
-
+        priors = np.zeros(n)
         if word_tag_counts.sum() > 0:
-            model.priors = word_tag_counts / word_tag_counts.sum()
+            priors = word_tag_counts / word_tag_counts.sum()
         else:
             if not any(len(s) for s in corpus):
                 warnings.warn("empty training corpus: uniform lexical priors")
-            model.priors[word_idx] = 1.0 / len(word_idx)
+            priors[word_idx] = 1.0 / len(word_idx)
+        punct_priors = np.zeros(n)
         if punct_tag_counts.sum() > 0:
-            model.punct_priors = punct_tag_counts / punct_tag_counts.sum()
+            punct_priors = punct_tag_counts / punct_tag_counts.sum()
         elif punct_idx:
-            model.punct_priors[punct_idx] = 1.0 / len(punct_idx)
-
-        model._finish()
+            punct_priors[punct_idx] = 1.0 / len(punct_idx)
 
         # Shape-class distributions (word-tagged tokens only).
         cap = np.zeros(n)
         allcaps = np.zeros(n)
         infreq = np.zeros(n)
-        cutoff = model.config.infrequent_cutoff
+        cutoff = config.infrequent_cutoff
         for surface, counts in surface_tags.items():
             shape = word_shape(surface)
-            total = model.word_counts[surface]
+            total = sum(counts.values())
             for t, c in counts.items():
                 if shape == SHAPE_CAPITALIZED:
                     cap[t] += c
@@ -184,30 +196,15 @@ class LexicalModel:
                     allcaps[t] += c
                 if total <= cutoff:
                     infreq[t] += c
-        infreq_dist = infreq / infreq.sum() if infreq.sum() > 0 else model._anchor.copy()
-        model.class_dists = {
+        infreq_dist = infreq / infreq.sum() if infreq.sum() > 0 else _anchor(priors, word_idx)
+        class_dists = {
             SHAPE_CAPITALIZED: cap / cap.sum() if cap.sum() > 0 else infreq_dist.copy(),
             SHAPE_ALL_CAPS: allcaps / allcaps.sum() if allcaps.sum() > 0 else infreq_dist.copy(),
             "infrequent": infreq_dist,
         }
-        return model
-
-    def _word_tag_ids(self) -> list[int]:
-        ids = [t.index for t in self.tagset.word_tags()]
-        if not ids:
-            raise TagInventoryError("tag inventory has no word tags")
-        return ids
-
-    def _finish(self) -> None:
-        """Derive the per-tag priors, the supported word tags and the anchor
-        from the two families' priors."""
-        word_ids = self._word_tag_ids()
-        self._tag_priors = self.punct_priors.copy()
-        self._tag_priors[word_ids] = self.priors[word_ids]
-        self._word_support = [i for i in word_ids if self.priors[i] > 0]
-        self._anchor = np.zeros(len(self.tagset))
-        if self._word_support:
-            self._anchor[self._word_support] = 1.0 / len(self._word_support)
+        return cls(
+            tagset, config, priors, punct_priors, class_dists, punct_table, surface_tags.items()
+        )
 
     # -- lookup ------------------------------------------------------------
 

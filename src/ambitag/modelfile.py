@@ -5,13 +5,16 @@ priors, shape-class distributions, punctuation table, depth-first trie
 dump) followed by an ``ambitag-trans v1`` section (blend strength and raw
 trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
-is byte-identical.  Trigram lines are written sorted and distinct; on load,
-duplicates sum.  Every count is a positive integer below 2^63, and so is the
-sum of the trigram counts, because they are merged as int64.
+is byte-identical.  Trigram lines are written sorted and distinct, and trie
+lines once per node; on load, repeated trigrams and trie surfaces sum, and
+the lexicon is built once from the trie's surface counts.  A trie line with
+neither counts nor children is rejected.  Every count is a positive integer
+below 2^63, and so is the sum of the trigram counts, merged as int64.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TextIO
 
 import numpy as np
@@ -47,12 +50,12 @@ def _dump_trie(root: TrieNode, symbols: list[str]) -> list[str]:
     """Pre-order, children in character order.  Iterative, so a long
     surface cannot exhaust the recursion limit."""
     lines: list[str] = []
-    stack = [(0, root)]
+    stack = [(0, "", root)]
     while stack:
-        depth, node = stack.pop()
-        stack += [(depth + 1, node.children[ch]) for ch in sorted(node.children, reverse=True)]
+        depth, ch, node = stack.pop()
+        stack += [(depth + 1, c, node.children[c]) for c in sorted(node.children, reverse=True)]
         if depth:
-            parts = [str(depth), _enc_char(node.char)]
+            parts = [str(depth), _enc_char(ch)]
             for t in sorted(node.term_counts):
                 parts += [symbols[t], str(node.term_counts[t])]
             lines.append(" ".join(parts))
@@ -127,7 +130,7 @@ class _Lines:
     def count(self, prefix: str) -> int:
         """The entry count on the section header line ``prefix N``."""
         field = self.expect(prefix)
-        if not field.isdecimal():
+        if not (field.isascii() and field.isdecimal()):
             raise self.bad("section header")
         return int(field)
 
@@ -203,39 +206,43 @@ def _read_config(lines: _Lines) -> SmoothingConfig:
         raise lines.error(str(exc)) from None
 
 
-def _read_punct_table(lines: _Lines, lex: LexicalModel) -> None:
+def _read_punct_table(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int]]:
     """Each line is ``surface<TAB>(tag count)*``."""
-    lookup = lex.tagset.lookup
+    table: dict[str, dict[int, int]] = {}
     entries = lines.numbered(lines.count("punct-table "))
     try:
         for lineno, line in entries:
             surface, rest = line.split("\t", 1)
-            lex.punct_table[surface] = _term_counts(rest.split(), lookup)
+            table[surface] = _term_counts(rest.split(), lookup)
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "punct-table entry") from None
+    return table
 
 
-def _read_trie(lines: _Lines, lex: LexicalModel) -> None:
-    """The pre-order trie dump: each line is ``depth char (tag count)*``."""
-    lookup = lex.tagset.lookup
-    stack: list[TrieNode] = [lex.root]  # the path from the root to the last node
+def _read_trie(lines: _Lines, lookup: dict[str, int]) -> Iterator[tuple[str, dict[int, int]]]:
+    """The pre-order trie dump, each line ``depth char (tag count)*``, as
+    (surface, {tag id: count}) for each line with counts."""
+    chars: list[str] = []  # the path from the root to the last node
+    bare = 0  # the last line's number if it has no counts
     entries = lines.numbered(lines.count("trie "))
     try:
         for lineno, line in entries:
             depth, ch, *terms = line.split()
             depth = int(depth)
-            if not 1 <= depth <= len(stack):
+            if not 1 <= depth <= len(chars) + 1:
                 raise ModelFormatError(f"trie depth {depth} out of order")
-            del stack[depth:]
-            node = stack[-1].child(_dec_char(ch))
-            stack.append(node)
+            if bare and depth <= len(chars):
+                break  # the bare line was a leaf
+            del chars[depth - 1 :]
+            chars.append(_dec_char(ch))
             if terms:
-                node.term_counts.update(_term_counts(terms, lookup))
                 # the path spells the surface backwards
-                surface = "".join(n.char for n in reversed(stack))
-                lex.word_counts[surface] = sum(node.term_counts.values())
+                yield "".join(reversed(chars)), _term_counts(terms, lookup)
+            bare = 0 if terms else lineno
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "trie line") from None
+    if bare:
+        raise ModelFormatError(f"line {bare}: trie node has neither counts nor children")
 
 
 def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -267,19 +274,19 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
         symbols[sym] = None
     tagset = TagSet(list(symbols))
 
-    lex = LexicalModel(tagset, _read_config(lines))
     lookup = tagset.lookup
-    lex.priors = _read_dist(lines, "priors word ", lookup)
-    lex.punct_priors = _read_dist(lines, "priors punct ", lookup)
-    lex.class_dists = {
-        name: _read_dist(lines, f"class {name} ", lookup)
-        for name in ("capitalized", "all-caps", "infrequent")
-    }
-
-    _read_punct_table(lines, lex)
-    _read_trie(lines, lex)
-    lex.root.aggregate()
-    lex._finish()
+    lex = LexicalModel(
+        tagset,
+        _read_config(lines),
+        _read_dist(lines, "priors word ", lookup),
+        _read_dist(lines, "priors punct ", lookup),
+        {
+            name: _read_dist(lines, f"class {name} ", lookup)
+            for name in ("capitalized", "all-caps", "infrequent")
+        },
+        _read_punct_table(lines, lookup),
+        _read_trie(lines, lookup),
+    )
 
     lines.expect(TRANS_HEADER)
     try:

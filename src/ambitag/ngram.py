@@ -65,13 +65,17 @@ class TransitionModel:
         """Count `windows`, symbol-id triples (a, b, c) in any order, shape (m, 3)
         or flat, each `weights[i]` times or once: ``trigrams`` holds the distinct
         windows, sorted ascending, and ``counts`` their int64 counts.  Ids are
-        held in the smallest unsigned type that fits them, to save memory."""
+        held in the smallest unsigned type that fits them, to save memory; an
+        id outside the alphabet raises ValueError."""
         if not 0.0 <= k < math.inf:
             raise ConfigError(f"blend strength must be finite and >= 0, got {k}")
         self.space = StateSpace(tagset)
         self.k = float(k)
         shape = (self.space.n_symbols,) * 3
-        ids = np.asarray(windows, np.min_scalar_type(shape[0])).reshape(-1, 3)
+        ids = np.asarray(windows).reshape(-1, 3)
+        if ids.size and not 0 <= ids.min() <= ids.max() < shape[0]:  # before a cast can wrap
+            raise ValueError(f"symbol ids must be in [0, {shape[0]})")
+        ids = ids.astype(np.min_scalar_type(shape[0]), copy=False)
         codes = np.ravel_multi_index(ids.T, shape)
         if weights is None:  # a few times less scratch memory than the inverse
             codes, self.counts = np.unique(codes, return_counts=True)

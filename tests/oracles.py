@@ -74,3 +74,14 @@ def kl_divergence(p, q):
         if pi > 0:
             total += pi * math.log(pi / qi)
     return total
+
+
+def trie_nodes(root):
+    """(suffix, node) for every node of a reversed-suffix trie, the root as
+    the empty suffix; each child's character goes in front of its parent's
+    suffix."""
+    stack = [("", root)]
+    while stack:
+        suffix, node = stack.pop()
+        yield suffix, node
+        stack += [(ch + suffix, child) for ch, child in node.children.items()]

@@ -26,6 +26,8 @@ TRAIN_BLOCKS = (
 )
 TRAIN_TEXT = "\n\n".join(TRAIN_BLOCKS) + "\n"
 
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+
 COHORT_TEXT = "dog\tN V\nruns\tV N\n.\t@dot\n"
 
 WALK_BLOCK = (
@@ -264,6 +266,31 @@ class TestTag:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {idx + 1}: bad trie line ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["tag", "sweep"])
+    @pytest.mark.parametrize(
+        "prefix,offset,edit,message",
+        [
+            # the last trie line is a leaf; without counts it stands for no word
+            ("ambitag-trans ", -1, lambda l: " ".join(l.split()[:2]),
+             "trie node has neither counts nor children"),
+            ("priors word ", 0, lambda l: l.translate(ARABIC_INDIC_DIGITS),
+             "bad section header"),
+        ],
+        ids=["trie-leaf-without-counts", "non-ascii-section-header"],
+    )
+    def test_malformed_model_line_is_exit_2(self, ws, capsys, command, prefix, offset, edit, message):
+        model = ws / train_model(ws)
+        lines = model.read_text(encoding="utf-8").splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith(prefix)) + offset
+        lines[idx] = edit(lines[idx])
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = ws / ("input.cohorts" if command == "tag" else "train.txt")
+        capsys.readouterr()
+        assert main([command, str(data), "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {idx + 1}: {message}")
         assert err.count("\n") == 1
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,10 @@ from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
 from ambitag.errors import ConfigError, InconsistentPriorError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
 from ambitag.ngram import TransitionModel
+from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import WORD, parse_tagset
 
-from oracles import kl_divergence
+from oracles import kl_divergence, trie_nodes
 
 TS2 = parse_tagset("A\nB\n")
 TS_NV = parse_tagset("N\nV\n@fullstop\n@semicolon\n")
@@ -21,25 +24,27 @@ def _train(text: str, ts=TS_NV, **cfg) -> LexicalModel:
     return LexicalModel.train(parse_annotated(text, ts), ts, SmoothingConfig(**cfg))
 
 
+def bare_model(ts, priors, **cfg) -> LexicalModel:
+    """A model with the given word-tag priors, no class distributions and
+    an empty trie."""
+    n = len(ts)
+    return LexicalModel(ts, SmoothingConfig(**cfg), np.array(priors), np.zeros(n), {}, {}, ())
+
+
 def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
     """Two-tag model with hand-set counts: root sees A 3x / B 1x, the
-    suffix node for 's' sees B 2x.  Built directly because the node
-    counts are chosen for arithmetic, not derived from a corpus.
+    suffix node for 's' sees B 2x.  Set by hand because the node counts
+    are chosen for arithmetic: no corpus yields them, since a child never
+    counts more of a tag than its root.
     """
-    model = LexicalModel(TS2, SmoothingConfig(k=k, class_mix=class_mix))
+    model = bare_model(TS2, [0.75, 0.25], k=k, class_mix=class_mix)
+    assert list(model._anchor) == [0.5, 0.5]  # uniform over both supported tags
+    model.class_dists = {n: model._anchor.copy() for n in ("capitalized", "all-caps", "infrequent")}
     model.root.tag_counts = {0: 3, 1: 1}
     model.root.total = 4
-    s = model.root.child("s")
+    s = model.root.children["s"] = TrieNode()
     s.tag_counts = {1: 2}
     s.total = 2
-    model.priors = np.array([0.75, 0.25])
-    model._finish()  # anchor [0.5, 0.5] over both supported tags
-    anchor = model._anchor
-    model.class_dists = {
-        "capitalized": anchor.copy(),
-        "all-caps": anchor.copy(),
-        "infrequent": anchor.copy(),
-    }
     return model
 
 
@@ -220,9 +225,7 @@ class TestDegenerate:
                 LexicalModel.train(sents, ts)
 
     def test_inconsistent_prior_raises(self):
-        model = LexicalModel(TS2)
-        model.priors = np.array([1.0, 0.0])
-        model._finish()
+        model = bare_model(TS2, [1.0, 0.0])
         model._dist_cache["zz"] = np.array([0.5, 0.5])
         with pytest.raises(InconsistentPriorError, match="zz"):
             model.converse_lexical_prob("zz", TS2.tag("B"))
@@ -239,18 +242,14 @@ class TestDegenerate:
 
     def test_vector_scores_name_the_first_inconsistent_tag(self):
         ts = parse_tagset("A\nB\nC\n")
-        model = LexicalModel(ts)
-        model.priors = np.array([1.0, 0.0, 0.0])
-        model._finish()
+        model = bare_model(ts, [1.0, 0.0, 0.0])
         model._dist_cache["zz"] = np.array([0.5, 0.0, 0.5])
         assert list(model.converse_lexical_probs("zz", [ts.tag("A"), ts.tag("B")])) == [0.5, 0.0]
         with pytest.raises(InconsistentPriorError, match=r"tag C has zero prior"):
             model.converse_lexical_probs("zz", [ts.tag("B"), ts.tag("C"), ts.tag("A")])
 
     def test_zero_prior_zero_mass_scores_zero(self):
-        model = LexicalModel(TS2)
-        model.priors = np.array([1.0, 0.0])
-        model._finish()
+        model = bare_model(TS2, [1.0, 0.0])
         model._dist_cache["qq"] = np.array([1.0, 0.0])
         assert model.converse_lexical_prob("qq", TS2.tag("B")) == 0.0
 
@@ -310,7 +309,7 @@ class TestCandidates:
         model = _train(WALK_CORPUS + "\n.\t@fullstop\n")
         for surface in ("walk", "talk", "Xyzzy", "qq"):
             got = {t.index for t in model.candidate_tags(surface)}
-            assert got >= set(model._word_support)
+            assert got >= set(np.flatnonzero(model._anchor))
 
     def test_order_is_mass_then_index(self):
         model = _train(WALK_CORPUS)
@@ -340,24 +339,32 @@ class TestTrieStructure:
         for ch in "klaw":
             assert set(node.children) == {ch}
             node = node.children[ch]
-        assert node.terminal
         assert node.term_counts == {TS_NV.tag("N").index: 3, TS_NV.tag("V").index: 1}
 
-    def test_aggregates_sum_children(self):
-        root = TrieNode()
-        root.child("a").term_counts = {0: 2}
-        root.child("b").term_counts = {0: 1, 1: 5}
-        root.aggregate()
-        assert root.tag_counts == {0: 3, 1: 5}
-        assert root.total == 8
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_node_counts_the_words_ending_in_its_suffix(self, seed):
+        hmm = build_synthetic_hmm(n_tags=6, vocab=80, seed=seed)
+        corpus = sample_corpus(hmm, 400, seed=seed)
+        model = LexicalModel.train(corpus, hmm.tagset)
+        want: dict[str, Counter] = {}
+        for sent in corpus:
+            for tok, tag in zip(sent.tokens, sent.gold):
+                w = tok.surface
+                for i in range(len(w) + 1):
+                    want.setdefault(w[i:], Counter())[tag.index] += 1
+        got = dict(trie_nodes(model.root))
+        assert set(got) == set(want)
+        for suffix, node in got.items():
+            assert node.tag_counts == want[suffix]
+            assert node.total == want[suffix].total()
 
     def test_branching_definition(self):
-        node = TrieNode("x")
+        node = TrieNode()
         assert not node.branching
-        node.child("a")
+        node.children["a"] = TrieNode()
         assert not node.branching
-        node.child("b")
+        node.children["b"] = TrieNode()
         assert node.branching
-        leaf = TrieNode("y")
+        leaf = TrieNode()
         leaf.term_counts = {0: 1}
         assert leaf.branching

@@ -24,6 +24,8 @@ from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import parse_tagset
 
+from oracles import trie_nodes
+
 TS = parse_tagset("N\nV\nADV\n@dot\n@comma\n")
 
 CORPUS_TEXT = (
@@ -110,6 +112,30 @@ class TestRoundTrip:
         for surface in ("naïve", "a b", "tab\tchar", "éclair"):
             assert lex2.is_known(surface)
             assert np.array_equal(lex._dist_vector(surface), lex2._dist_vector(surface))
+
+    def test_loaded_trie_equals_trained_trie(self):
+        model = build_synthetic_hmm(n_tags=8, vocab=300, seed=4)
+        lex = LexicalModel.train(sample_corpus(model, 3000, seed=6), model.tagset)
+        lex2, _ = loads_model(dumps_model(lex, TransitionModel(model.tagset)))
+
+        def nodes(lex):
+            return {
+                suffix: (node.term_counts, node.tag_counts, node.total, set(node.children))
+                for suffix, node in trie_nodes(lex.root)
+            }
+
+        assert nodes(lex2) == nodes(lex)
+        assert lex2.word_counts == lex.word_counts
+
+    def test_repeated_trie_surface_sums_and_dumps_once(self):
+        text = dumps_model(*trained())
+        assert "\ntrie 16\n" in text and text.count("\n3 n ADV 1\n") == 1  # "now" reversed
+        twice = text.replace("\ntrie 16\n", "\ntrie 19\n").replace(
+            TRANS_HEADER, "1 w\n2 o\n3 n ADV 2\n" + TRANS_HEADER
+        )
+        lex, trans = loads_model(twice)
+        assert lex.word_counts["now"] == 3
+        assert dumps_model(lex, trans) == text.replace("\n3 n ADV 1\n", "\n3 n ADV 3\n")
 
     def test_trigram_counts_survive(self):
         lex, trans = trained()
@@ -253,10 +279,14 @@ class TestFormatErrors:
         assert np.isfinite(trans.probs).all()
 
     def test_punctuation_only_inventory(self):
-        ts = parse_tagset("@dot\n@comma\n")
-        lex = LexicalModel(ts)
-        lex.class_dists = {n: np.zeros(2) for n in ("capitalized", "all-caps", "infrequent")}
-        text = dumps_model(lex, TransitionModel(ts))
+        text = "\n".join([
+            LEX_HEADER, "tags 2", "@dot", "@comma",
+            "config k 1.0 levels 2 cutoff 3 known-threshold 1 support-epsilon 0.0 class-mix 0.5",
+            "priors word 0", "priors punct 0",
+            "class capitalized 0", "class all-caps 0", "class infrequent 0",
+            "punct-table 0", "trie 0",
+            TRANS_HEADER, "config k 1.0", "trigrams 0",
+        ]) + "\n"
         with pytest.raises(TagInventoryError, match="no word tags"):
             loads_model(text)
 
@@ -269,6 +299,8 @@ def _mutated(text: str, prefix: str, offset: int, edit) -> tuple[str, int]:
     lines[idx] = edit(lines[idx])
     return "\n".join(lines) + "\n", idx + 1
 
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
 
 # One malformed field each: (section prefix, offset from it, edit of that line).
 BAD_FIELDS = {
@@ -289,6 +321,9 @@ BAD_FIELDS = {
     "punct-entry-without-tab": ("punct-table ", 1, lambda l: l.replace("\t", " ")),
     "transition-k-nan": (TRANS_HEADER, 1, lambda l: "config k nan"),
     "lexical-k-inf": ("config ", 0, lambda l: l.replace("config k 1.0 ", "config k inf ")),
+    "non-ascii-section-header": ("priors word ", 0, lambda l: l.translate(ARABIC_INDIC_DIGITS)),
+    "trie-leaf-without-counts": ("trie ", 3, lambda l: " ".join(l.split()[:2])),
+    "last-trie-line-without-counts": (TRANS_HEADER, -1, lambda l: " ".join(l.split()[:2])),
 }
 
 DUMP = dumps_model(*trained())

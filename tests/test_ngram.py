@@ -81,6 +81,15 @@ class TestCounting:
         unweighted = TransitionModel(TS3, 1.0, windows)
         assert unweighted.counts.tolist() == [1, 3, 2]
 
+    @pytest.mark.parametrize(
+        "windows",
+        [np.array([[B, B, -255]]), [(B, B, -1)], np.array([[B, B, B + 1]]), [(B, B, 256)]],
+        ids=["negative-wrapping-onto-an-id", "negative-list", "above-alphabet", "above-uint8"],
+    )
+    def test_ids_outside_the_alphabet_rejected(self, windows):
+        with pytest.raises(ValueError):
+            TransitionModel(TS3, 1.0, windows)
+
     def test_no_windows(self):
         model = TransitionModel(TS3)
         assert model.trigrams.shape == (0, 3)
