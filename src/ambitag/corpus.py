@@ -3,13 +3,15 @@
 File conventions: one token per line, TAB between the surface form and its
 tag(s), blank line between sentences, full-line "#" comments.  Annotated
 files carry exactly one tag per token; cohort files carry a space-separated
-candidate list.
+candidate list.  Each parse makes one `Token` per distinct surface, shared
+by every occurrence (tokens are frozen), and tags come from the tag set's
+own `Tag` objects, so a parse allocates little beyond its lists.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .errors import ConfigError, CorpusFormatError, InsufficientCorpusError
@@ -37,10 +39,18 @@ def word_shape(surface: str) -> str:
 @dataclass(frozen=True)
 class Token:
     surface: str
-    shape: str = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", word_shape(self.surface))
+    @property
+    def shape(self) -> str:
+        return word_shape(self.surface)
+
+
+class _Tokens(dict):
+    """surface -> its one Token, made on first use."""
+
+    def __missing__(self, surface: str) -> Token:
+        token = self[surface] = Token(surface)
+        return token
 
 
 @dataclass
@@ -86,8 +96,7 @@ def word_count(sentences: Iterable[AnnotatedSentence]) -> int:
 
 def _content_lines(text: str):
     """Yield (lineno, line) skipping full-line comments; blank lines kept."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.lstrip().startswith("#"):
             continue
         yield lineno, line
@@ -97,34 +106,34 @@ def parse_annotated(text: str, tagset: "TagSet", source: str = "<string>") -> li
     sentences: list[AnnotatedSentence] = []
     tokens: list[Token] = []
     gold: list["Tag"] = []
-
-    def flush() -> None:
-        if tokens:
-            sentences.append(AnnotatedSentence(list(tokens), list(gold)))
-            tokens.clear()
-            gold.clear()
+    shared, tags, lookup = _Tokens(), tagset.tags, tagset.lookup
 
     for lineno, line in _content_lines(text):
         if not line.strip():
-            flush()
+            if tokens:
+                sentences.append(AnnotatedSentence(tokens, gold))
+                tokens, gold = [], []
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
+        try:
+            surface, symbol = line.split("\t")
+        except ValueError:
             raise CorpusFormatError(
                 f"{source}:{lineno}: expected 'surface<TAB>TAG', got {line!r}"
-            )
-        surface, symbol = fields[0], fields[1].strip()
-        if not surface or not symbol:
-            raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
-        if " " in symbol:
-            raise CorpusFormatError(
-                f"{source}:{lineno}: one tag per token expected, got {symbol!r}"
-            )
-        if symbol not in tagset:
+            ) from None
+        symbol = symbol.strip()
+        index = lookup.get(symbol)
+        if index is None or not surface:  # a tag symbol is never empty or spaced
+            if not surface or not symbol:
+                raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
+            if " " in symbol:
+                raise CorpusFormatError(
+                    f"{source}:{lineno}: one tag per token expected, got {symbol!r}"
+                )
             raise CorpusFormatError(f"{source}:{lineno}: unknown tag symbol {symbol!r}")
-        tokens.append(Token(surface))
-        gold.append(tagset.tag(symbol))
-    flush()
+        tokens.append(shared[surface])
+        gold.append(tags[index])
+    if tokens:
+        sentences.append(AnnotatedSentence(tokens, gold))
     return sentences
 
 
@@ -154,7 +163,7 @@ def write_annotated(sentences: Iterable[AnnotatedSentence], out: str | TextIO) -
 def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list[list[Cohort]]:
     sentences: list[list[Cohort]] = []
     current: list[Cohort] = []
-    tags, lookup = tagset.tags, tagset.lookup
+    shared, tags, lookup = _Tokens(), tagset.tags, tagset.lookup
 
     for lineno, line in _content_lines(text):
         if not line.strip():
@@ -176,7 +185,7 @@ def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list
             raise CorpusFormatError(
                 f"{source}:{lineno}: unknown tag symbol {exc.args[0]!r}"
             ) from None
-        current.append(Cohort(Token(fields[0]), candidates))
+        current.append(Cohort(shared[fields[0]], candidates))
     if current:
         sentences.append(current)
     return sentences

@@ -146,7 +146,10 @@ def viterbi(lattice: Lattice) -> tuple[list[int], float]:
             log_block = block.transpose(1, 2, 0).copy()  # C order, writable
             log_blocks[id(block)] = np.log(log_block, out=log_block)
         combined = log_block + score.T[:, None, :]
-        backptr.append(combined.argmax(axis=2))  # first max = smallest predecessor
+        # first max = smallest predecessor; one array per step stays alive,
+        # so it is kept in the smallest type that holds a candidate index
+        index_type = np.min_scalar_type(combined.shape[2] - 1)
+        backptr.append(combined.argmax(axis=2).astype(index_type))
         score = combined.max(axis=2) + log_ap[t][None, :]
         del combined  # free it before the next step builds its own
     best_logp = float(score.max())

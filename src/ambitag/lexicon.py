@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,7 +32,10 @@ from .corpus import (
     word_shape,
 )
 from .errors import ConfigError, InconsistentPriorError, TagInventoryError
-from .tagset import PUNCTUATION, WORD, Tag, TagSet
+from .tagset import Tag, TagSet
+
+_surface = attrgetter("surface")
+_index = attrgetter("index")
 
 
 @dataclass
@@ -145,34 +151,35 @@ class LexicalModel:
         word_idx = _word_tag_ids(tagset)
         punct_idx = [t.index for t in tagset.punctuation_tags()]
 
+        # One count per distinct (surface, tag id) pair, in first-seen order;
+        # everything below reads the distinct pairs, not the tokens.
+        pairs = Counter(
+            chain.from_iterable(
+                zip(map(_surface, sent.tokens), map(_index, sent.gold)) for sent in corpus
+            )
+        )
         # Surfaces that ever carry a punctuation tag resolve to the
         # exact-match table and stay out of the trie.
-        punct_surfaces = {
-            tok.surface
-            for sent in corpus
-            for tok, tag in zip(sent.tokens, sent.gold)
-            if tag.cls == PUNCTUATION
-        }
+        punct_ids = set(punct_idx)
+        punct_surfaces = {surface for surface, t in pairs if t in punct_ids}
 
-        word_tag_counts = np.zeros(n)
-        punct_tag_counts = np.zeros(n)
+        tag_counts = [0] * n
         punct_table: dict[str, dict[int, int]] = {}
         surface_tags: dict[str, dict[int, int]] = {}
-        for sent in corpus:
-            for tok, tag in zip(sent.tokens, sent.gold):
-                if tag.cls == WORD:
-                    word_tag_counts[tag.index] += 1
-                else:
-                    punct_tag_counts[tag.index] += 1
-                table = punct_table if tok.surface in punct_surfaces else surface_tags
-                row = table.setdefault(tok.surface, {})
-                row[tag.index] = row.get(tag.index, 0) + 1
+        for (surface, t), c in pairs.items():
+            tag_counts[t] += c
+            table = punct_table if surface in punct_surfaces else surface_tags
+            table.setdefault(surface, {})[t] = c
+        word_tag_counts = np.array(tag_counts, float)
+        punct_tag_counts = np.zeros(n)
+        punct_tag_counts[punct_idx] = word_tag_counts[punct_idx]
+        word_tag_counts[punct_idx] = 0.0
 
         priors = np.zeros(n)
         if word_tag_counts.sum() > 0:
             priors = word_tag_counts / word_tag_counts.sum()
         else:
-            if not any(len(s) for s in corpus):
+            if not pairs:
                 warnings.warn("empty training corpus: uniform lexical priors")
             priors[word_idx] = 1.0 / len(word_idx)
         punct_priors = np.zeros(n)

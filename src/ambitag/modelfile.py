@@ -5,11 +5,15 @@ priors, shape-class distributions, punctuation table, depth-first trie
 dump) followed by an ``ambitag-trans v1`` section (blend strength and raw
 trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
-is byte-identical.  Trigram lines are written sorted and distinct, and trie
-lines once per node; on load, repeated trigrams and trie surfaces sum, and
-the lexicon is built once from the trie's surface counts.  A trie line with
-neither counts nor children is rejected.  Every count is a positive integer
-below 2^63, and so is the sum of the trigram counts, merged as int64.
+is byte-identical.  Trigram lines are written sorted and distinct, trie
+lines once per node and punct-table lines once per surface; on load,
+repeated trigrams, trie surfaces, punct-table surfaces and tags on one line
+all sum, and the lexicon is built once from the trie's surface counts.  A
+trie line with neither counts nor children, or a punct-table line with no
+counts, is rejected.  Every count is a positive integer below 2^63, and so
+is the sum of the trigram counts, merged as int64, and each tag's count
+merged within a trie line or a punct-table surface.  Punct-table surfaces
+are written unescaped, so one holding a tab or a line break cannot be saved.
 """
 
 from __future__ import annotations
@@ -92,7 +96,14 @@ def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
     for surface in sorted(lex.punct_table):
         row = lex.punct_table[surface]
         pairs = " ".join(f"{symbols[t]} {row[t]}" for t in sorted(row))
-        lines.append(f"{surface}\t{pairs}")
+        line = f"{surface}\t{pairs}"
+        # punct-table surfaces are written raw, so they must read back as written
+        if "\t" in surface or line.splitlines() != [line]:
+            raise InputError(
+                f"punctuation surface {surface!r} holds a tab or a line break "
+                "and cannot be written to a model file"
+            )
+        lines.append(line)
     trie_lines = _dump_trie(lex.root, symbols)
     lines.append(f"trie {len(trie_lines)}")
     lines += trie_lines
@@ -165,10 +176,18 @@ def _count(field: str, what: str) -> int:
     return n
 
 
-def _term_counts(fields: list[str], lookup: dict[str, int]) -> dict[int, int]:
-    """``tag count tag count ...`` as {tag id: count}."""
-    pairs = zip(fields[0::2], fields[1::2], strict=True)
-    return {lookup[sym]: _count(count, "tag") for sym, count in pairs}
+def _term_counts(
+    fields: list[str], lookup: dict[str, int], into: dict[int, int] | None = None
+) -> dict[int, int]:
+    """``tag count tag count ...`` added to `into`, or to a new dict, as
+    {tag id: count}; a repeated tag sums, and each sum stays below 2^63."""
+    counts = {} if into is None else into
+    for sym, count in zip(fields[0::2], fields[1::2], strict=True):
+        t = lookup[sym]
+        n = counts[t] = counts.get(t, 0) + _count(count, "tag")
+        if n >= 2**63:
+            raise ModelFormatError("tag counts sum to 2^63 or more")
+    return counts
 
 
 def _read_dist(lines: _Lines, header: str, lookup: dict[str, int]) -> np.ndarray:
@@ -207,13 +226,16 @@ def _read_config(lines: _Lines) -> SmoothingConfig:
 
 
 def _read_punct_table(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int]]:
-    """Each line is ``surface<TAB>(tag count)*``."""
+    """Each line is ``surface<TAB>(tag count)*``; a repeated surface sums."""
     table: dict[str, dict[int, int]] = {}
     entries = lines.numbered(lines.count("punct-table "))
     try:
         for lineno, line in entries:
             surface, rest = line.split("\t", 1)
-            table[surface] = _term_counts(rest.split(), lookup)
+            fields = rest.split()
+            if not fields:
+                raise ModelFormatError("punct-table entry has no counts")
+            _term_counts(fields, lookup, table.setdefault(surface, {}))
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "punct-table entry") from None
     return table

@@ -19,14 +19,18 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import AnnotatedSentence
 from .errors import ConfigError, TagInventoryError
 from .tagset import TagSet
 
 BOUNDARY = "<s>"
+
+_index = attrgetter("index")
 
 
 class StateSpace:
@@ -89,10 +93,18 @@ class TransitionModel:
     def train(
         cls, corpus: list[AnnotatedSentence], tagset: TagSet, k: float = 1.0
     ) -> "TransitionModel":
+        # The corpus as one id sequence: ⊥, then ⊥ ⊥ t1 .. tn per sentence,
+        # then ⊥ ⊥, read as overlapping windows without a copy.  A sentence's
+        # last window (t_n-1 t_n ⊥) ends in the padding that follows it.  The
+        # windows ending in ⊥ ⊥ are the ones that span a join, the start or
+        # the end, and are dropped: no sentence has one, as a tag is never ⊥.
         b = StateSpace(tagset).boundary_id
-        seqs = ([b, b, *(t.index for t in sent.gold), b] for sent in corpus)
-        windows = chain.from_iterable(zip(s, s[1:], s[2:]) for s in seqs)
-        return cls(tagset, k, np.fromiter(windows, np.dtype((np.min_scalar_type(b + 1), 3))))
+        ids = chain.from_iterable(chain((b, b), map(_index, sent.gold)) for sent in corpus)
+        seq = np.fromiter(chain((b,), ids, (b, b)), np.min_scalar_type(b + 1))
+        windows = sliding_window_view(seq, 3)
+        windows = windows[(windows[:, 1] != b) | (windows[:, 2] != b)]
+        del seq  # the kept windows are a copy: free the sequence before counting
+        return cls(tagset, k, windows)
 
     # Built on first use rather than in __init__: `train` never decodes, and
     # at 83 tags the array is 84^3 floats (4.7 MB) it would only carry around.

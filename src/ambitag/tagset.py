@@ -27,6 +27,14 @@ class Tag:
         return self.symbol
 
 
+def _check_symbol(symbol: str) -> None:
+    """A tag symbol is one nonempty field: files separate symbols with whitespace."""
+    if not symbol:
+        raise TagInventoryError("empty tag symbol")
+    if any(ch.isspace() for ch in symbol):
+        raise TagInventoryError(f"tag symbol contains whitespace: {symbol!r}")
+
+
 class TagSet:
     """Ordered, duplicate-free tag inventory with stable integer indices."""
 
@@ -36,6 +44,7 @@ class TagSet:
         for symbol in symbols:
             if symbol in self.lookup:
                 continue
+            _check_symbol(symbol)
             cls = PUNCTUATION if symbol.startswith("@") else WORD
             self.lookup[symbol] = len(self.tags)
             self.tags.append(Tag(symbol, cls, len(self.tags)))
@@ -85,10 +94,10 @@ def parse_tagset(text: str, source: str = "<string>") -> TagSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if any(ch.isspace() for ch in line):
-            raise TagInventoryError(
-                f"{source}:{lineno}: tag symbol contains whitespace: {line!r}"
-            )
+        try:
+            _check_symbol(line)
+        except TagInventoryError as exc:
+            raise TagInventoryError(f"{source}:{lineno}: {exc}") from None
         symbols.append(line)
     if not symbols:
         raise TagInventoryError("empty tag inventory")

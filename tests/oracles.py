@@ -85,3 +85,72 @@ def trie_nodes(root):
         suffix, node = stack.pop()
         yield suffix, node
         stack += [(ch + suffix, child) for ch, child in node.children.items()]
+
+
+def recount_lexicon(corpus, tagset, cutoff):
+    """What lexicon training estimates, recounted token by token: the
+    word-tag and punctuation-tag priors, the shape-class distributions, the
+    exact-match table of every surface that ever carries a punctuation tag,
+    the other surfaces' counts, and each word surface's total, all in
+    first-seen order.  Returns a dict of numpy vectors and plain dicts."""
+    import numpy as np
+
+    n = len(tagset)
+    word = [t.index for t in tagset if t.cls == "word"]
+    punct = [t.index for t in tagset if t.cls == "punctuation"]
+    punct_surfaces = set()
+    for sent in corpus:
+        for tok, tag in zip(sent.tokens, sent.gold):
+            if tag.index in punct:
+                punct_surfaces.add(tok.surface)
+    word_counts, punct_counts = np.zeros(n), np.zeros(n)
+    table, surfaces = {}, {}
+    for sent in corpus:
+        for tok, tag in zip(sent.tokens, sent.gold):
+            if tag.index in punct:
+                punct_counts[tag.index] += 1
+            else:
+                word_counts[tag.index] += 1
+            rows = table if tok.surface in punct_surfaces else surfaces
+            row = rows.setdefault(tok.surface, {})
+            row[tag.index] = row.get(tag.index, 0) + 1
+
+    def normalised(counts, fallback):
+        return counts / counts.sum() if counts.sum() > 0 else fallback
+
+    uniform_word = np.zeros(n)
+    uniform_word[word] = 1.0 / len(word)
+    priors = normalised(word_counts, uniform_word)
+    uniform_punct = np.zeros(n)
+    if punct:
+        uniform_punct[punct] = 1.0 / len(punct)
+    punct_priors = normalised(punct_counts, uniform_punct)
+
+    def shape(surface):
+        if len(surface) >= 2 and surface.isupper():
+            return "all-caps"
+        return "capitalized" if surface[:1].isupper() else "other"
+
+    by_class = {name: np.zeros(n) for name in ("capitalized", "all-caps", "infrequent")}
+    for surface, row in surfaces.items():
+        for t, c in row.items():
+            if shape(surface) != "other":
+                by_class[shape(surface)][t] += c
+            if sum(row.values()) <= cutoff:
+                by_class["infrequent"][t] += c
+    supported = [i for i in word if priors[i] > 0]
+    anchor = np.zeros(n)
+    anchor[supported] = 1.0 / len(supported)
+    infrequent = normalised(by_class["infrequent"], anchor)
+    return {
+        "priors": priors,
+        "punct_priors": punct_priors,
+        "class_dists": {
+            "capitalized": normalised(by_class["capitalized"], infrequent),
+            "all-caps": normalised(by_class["all-caps"], infrequent),
+            "infrequent": infrequent,
+        },
+        "punct_table": table,
+        "surfaces": surfaces,
+        "word_counts": {s: sum(row.values()) for s, row in surfaces.items()},
+    }

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,10 @@ class TestShape:
     def test_token_shape_derived(self):
         assert Token("NATO").shape == "all-caps"
         assert Token("x").shape == "lower"
+
+    def test_token_holds_only_its_surface(self):
+        assert [f.name for f in dataclasses.fields(Token)] == ["surface"]
+        assert isinstance(vars(Token)["shape"], property)
 
 
 class TestAnnotated:
@@ -121,6 +127,72 @@ class TestCohorts:
         sents = parse_cohorts("walk\tV-INF N-NOM-SG\n", ts)
         sents[0][0].retained = [ts.tag("N-NOM-SG")]
         assert format_cohorts(sents) == "walk\tN-NOM-SG\n"
+
+
+class TestSharedTokens:
+    TEXT = "walk\tV-INF\nthe\tDET-SG/PL\n\nwalk\tN-NOM-SG\nwalk\tV-IMP\n"
+
+    def test_one_token_per_distinct_surface(self, ts):
+        first, second = parse_annotated(self.TEXT, ts)
+        walk = first.tokens[0]
+        assert second.tokens[0] is walk and second.tokens[1] is walk
+        assert first.tokens[1] is not walk and first.tokens[1].surface == "the"
+        sents = parse_cohorts(self.TEXT, ts)
+        assert sents[1][0].token is sents[0][0].token is sents[1][1].token
+
+    def test_annotated_and_cohort_tokens_compare_equal(self, ts):
+        annotated = parse_annotated(self.TEXT, ts)
+        cohorts = parse_cohorts(self.TEXT, ts)
+        for sent, cohort_sent in zip(annotated, cohorts):
+            for tok, cohort in zip(sent.tokens, cohort_sent):
+                assert tok == cohort.token and hash(tok) == hash(cohort.token)
+        assert annotated[0].tokens[0] == Token("walk") != annotated[0].tokens[1]
+
+    def test_gold_tags_are_the_tag_sets_own(self, ts):
+        sents = parse_annotated(self.TEXT, ts)
+        assert all(tag is ts.tag(tag.symbol) for sent in sents for tag in sent.gold)
+
+
+ANNOTATED_ERRORS = [
+    ("a\tN-NOM-SG\nbad line\n", "<string>:2: expected 'surface<TAB>TAG', got 'bad line'"),
+    ("a\tN-NOM-SG\tV-INF\n", "<string>:1: expected 'surface<TAB>TAG', got 'a\\tN-NOM-SG\\tV-INF'"),
+    ("\tN-NOM-SG\n", "<string>:1: empty field in '\\tN-NOM-SG'"),
+    ("a\t \n", "<string>:1: empty field in 'a\\t '"),
+    ("\tXYZ\n", "<string>:1: empty field in '\\tXYZ'"),
+    ("a\tN-NOM-SG V-INF\n", "<string>:1: one tag per token expected, got 'N-NOM-SG V-INF'"),
+    ("a\tXYZ\n", "<string>:1: unknown tag symbol 'XYZ'"),
+    ("# c\n\na\tN-NOM-SG\n\nb\tn-nom-sg \n", "<string>:5: unknown tag symbol 'n-nom-sg'"),
+]
+
+COHORT_ERRORS = [
+    ("walk\n", "<string>:1: expected 'surface<TAB>TAG( TAG)*', got 'walk'"),
+    ("the\tDET-SG/PL\nwalk\t \n", "<string>:2: expected 'surface<TAB>TAG( TAG)*', got 'walk\\t '"),
+    ("a\tb\tV-INF\n", "<string>:1: expected 'surface<TAB>TAG( TAG)*', got 'a\\tb\\tV-INF'"),
+    ("\tV-INF\n", "<string>:1: empty field in '\\tV-INF'"),
+    ("\n# c\nw\tV-INF XYZ\n", "<string>:3: unknown tag symbol 'XYZ'"),
+]
+
+
+class TestMalformedLines:
+    @pytest.mark.parametrize("text,message", ANNOTATED_ERRORS)
+    def test_annotated_message_and_line(self, ts, text, message):
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_annotated(text, ts)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,message", COHORT_ERRORS)
+    def test_cohort_message_and_line(self, ts, text, message):
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_cohorts(text, ts)
+        assert str(exc.value) == message
+
+    def test_source_names_the_file(self, ts):
+        with pytest.raises(CorpusFormatError, match=r"^gold\.txt:1: unknown tag symbol 'XYZ'$"):
+            parse_annotated("a\tXYZ\n", ts, source="gold.txt")
+
+    def test_whitespace_only_line_breaks_the_sentence(self, ts):
+        sents = parse_annotated("a\tV-INF\n \t \nb\tV-INF  \n", ts)
+        assert [[t.surface for t in s.tokens] for s in sents] == [["a"], ["b"]]
 
 
 def _mk_corpus(ts, n_sentences, words_per_sentence=5):

@@ -451,3 +451,5 @@ class TestLatticeBlocks:
             tracemalloc.stop()
         assert len(lattice.tensors) == 39
         assert peak < 4 * block_bytes
+        # 39 one-byte backpointer arrays of 30 x 30; as intp they took 280,800 B
+        assert peak < 3 * block_bytes

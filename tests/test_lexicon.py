@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambitag.corpus import Token, parse_annotated
+from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
 from ambitag.errors import ConfigError, InconsistentPriorError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
+from ambitag.modelfile import dumps_model
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
-from ambitag.tagset import WORD, parse_tagset
+from ambitag.tagset import WORD, TagSet, parse_tagset
 
-from oracles import kl_divergence, trie_nodes
+from oracles import kl_divergence, recount_lexicon, trie_nodes
 
 TS2 = parse_tagset("A\nB\n")
 TS_NV = parse_tagset("N\nV\n@fullstop\n@semicolon\n")
@@ -368,3 +369,67 @@ class TestTrieStructure:
         leaf = TrieNode()
         leaf.term_counts = {0: 1}
         assert leaf.branching
+
+
+def punctuated_corpus(seed: int, n_punct: int, words: int = 3000):
+    """A synthetic corpus whose first `n_punct` tags are punctuation tags,
+    with each sentence's first word capitalised and five-letter words in
+    capitals, so every table and class distribution has entries; about a
+    third of the surfaces carry two tags."""
+    hmm = build_synthetic_hmm(n_tags=8, vocab=300, seed=seed)
+    ts = TagSet([("@" if t.index < n_punct else "") + t.symbol for t in hmm.tagset])
+    corpus = []
+    for sent in sample_corpus(hmm, words, seed=seed):
+        surfaces = [s.upper() if len(s) == 5 else s for s in (t.surface for t in sent.tokens)]
+        surfaces[0] = surfaces[0].capitalize()
+        gold = [ts.tags[t.index] for t in sent.gold]
+        corpus.append(AnnotatedSentence([Token(s) for s in surfaces], gold))
+    return corpus, ts
+
+
+class TestRecount:
+    """Training counts each distinct (surface, tag) pair once; it must equal a
+    token-by-token recount."""
+
+    CASES = {
+        "no-punctuation": lambda: punctuated_corpus(1, 0),
+        "two-punctuation-tags": lambda: punctuated_corpus(2, 2),
+        "one-word-tag": lambda: punctuated_corpus(3, 7),
+        "punctuation-tokens-only": lambda: (
+            parse_annotated(".\t@fullstop\n;\t@semicolon\n\n.\t@fullstop\n", TS_NV), TS_NV
+        ),
+        "empty": lambda: ([], TS_NV),
+    }
+
+    @pytest.mark.filterwarnings("ignore:empty training corpus")
+    @pytest.mark.parametrize("cutoff", [3, 0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_train_equals_a_per_token_recount(self, case, cutoff):
+        corpus, ts = self.CASES[case]()
+        config = SmoothingConfig(infrequent_cutoff=cutoff)
+        lex = LexicalModel.train(corpus, ts, config)
+        want = recount_lexicon(corpus, ts, cutoff)
+        assert np.array_equal(lex.priors, want["priors"])
+        assert np.array_equal(lex.punct_priors, want["punct_priors"])
+        assert list(lex.class_dists) == list(want["class_dists"])
+        for name, dist in want["class_dists"].items():
+            assert np.array_equal(lex.class_dists[name], dist), name
+        assert list(lex.punct_table.items()) == list(want["punct_table"].items())
+        assert list(lex.word_counts.items()) == list(want["word_counts"].items())
+        recounted = LexicalModel(
+            ts, config, want["priors"], want["punct_priors"], want["class_dists"],
+            want["punct_table"], want["surfaces"].items(),
+        )
+        trans = TransitionModel(ts)
+        assert dumps_model(lex, trans) == dumps_model(recounted, trans)
+
+    def test_the_cases_cover_every_table(self):
+        corpus, ts = punctuated_corpus(2, 2)
+        want = recount_lexicon(corpus, ts, 3)
+        word_ids = {t.index for t in ts.word_tags()}
+        # punctuation surfaces that also carry a word tag, and word surfaces
+        # with several tags
+        assert any(len(row) > 1 and word_ids & set(row) for row in want["punct_table"].values())
+        assert any(len(row) > 1 for row in want["surfaces"].values())
+        for name in ("capitalized", "all-caps", "infrequent"):
+            assert want["class_dists"][name].sum() == pytest.approx(1.0)

@@ -20,9 +20,9 @@ from ambitag.modelfile import (
     loads_model,
     save_model,
 )
-from ambitag.ngram import TransitionModel
+from ambitag.ngram import StateSpace, TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
-from ambitag.tagset import parse_tagset
+from ambitag.tagset import TagSet, parse_tagset
 
 from oracles import trie_nodes
 
@@ -136,6 +136,90 @@ class TestRoundTrip:
         lex, trans = loads_model(twice)
         assert lex.word_counts["now"] == 3
         assert dumps_model(lex, trans) == text.replace("\n3 n ADV 1\n", "\n3 n ADV 3\n")
+
+    def test_repeated_tag_on_one_line_sums_and_dumps_merged(self):
+        text = dumps_model(*trained())
+        assert text.count("\n3 n ADV 1\n") == 1 and text.count("\n.\t@dot 2\n") == 1
+        twice = text.replace("\n3 n ADV 1\n", "\n3 n ADV 1 ADV 2\n").replace(
+            "\n.\t@dot 2\n", "\n.\t@dot 1 @dot 2\n"
+        )
+        lex, trans = loads_model(twice)
+        assert lex.word_counts["now"] == 3
+        assert lex.punct_table["."] == {TS.lookup["@dot"]: 3}
+        merged = text.replace("\n3 n ADV 1\n", "\n3 n ADV 3\n").replace(
+            "\n.\t@dot 2\n", "\n.\t@dot 3\n"
+        )
+        assert dumps_model(lex, trans) == merged
+
+    def test_repeated_punct_surface_sums_and_dumps_once(self):
+        text = dumps_model(*trained())
+        assert "\npunct-table 2\n" in text
+        extra = ".\t@dot 7 @comma 1\n,\t@comma 2\n"
+        twice = text.replace("\npunct-table 2\n", "\npunct-table 4\n" + extra)
+        lex, trans = loads_model(twice)
+        assert lex.punct_table["."] == {TS.lookup["@dot"]: 9, TS.lookup["@comma"]: 1}
+        assert lex.punct_table[","] == {TS.lookup["@comma"]: 3}
+        merged = text.replace(
+            "\n,\t@comma 1\n.\t@dot 2\n", "\n,\t@comma 3\n.\t@dot 9 @comma 1\n"
+        )
+        assert merged != text and dumps_model(lex, trans) == merged
+
+    @pytest.mark.parametrize(
+        "prefix,offset", [("trie ", 3), ("punct-table ", 1), ("punct-table ", 2)]
+    )
+    def test_merged_tag_count_stays_below_2_63(self, prefix, offset):
+        def doubled(second):
+            def edit(line):
+                head = line.rsplit(" ", 1)[0]  # the line up to its last count
+                return f"{head} {2**62} {head.split()[-1]} {second}"
+
+            return edit
+
+        bad, lineno = _mutated(DUMP, prefix, offset, doubled(2**62))
+        message = rf"^line {lineno}: tag counts sum to 2\^63 or more$"
+        with pytest.raises(ModelFormatError, match=message):
+            loads_model(bad)
+        loads_model(_mutated(DUMP, prefix, offset, doubled(2**62 - 1))[0])
+
+    @pytest.mark.parametrize(
+        "surface",
+        ["a\tb", "\t", "x\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", ".\u2028"],
+    )
+    def test_punct_surface_that_cannot_be_read_back_is_not_saved(self, surface):
+        corpus = [AnnotatedSentence([Token("the"), Token(surface)], [TS.tag("N"), TS.tag("@dot")])]
+        lex = LexicalModel.train(corpus, TS)
+        with pytest.raises(InputError) as exc:
+            dumps_model(lex, TransitionModel.train(corpus, TS))
+        assert repr(surface) in str(exc.value)
+
+    @pytest.mark.parametrize("surface", ["", " ", " . ", "\\", "a b", "#", "\u00a0x"])
+    def test_odd_punct_surfaces_round_trip(self, surface):
+        corpus = [AnnotatedSentence([Token("the"), Token(surface)], [TS.tag("N"), TS.tag("@dot")])]
+        text = dumps_model(LexicalModel.train(corpus, TS), TransitionModel.train(corpus, TS))
+        lex, trans = loads_model(text)
+        assert lex.punct_table == {surface: {TS.lookup["@dot"]: 1}}
+        assert dumps_model(lex, trans) == text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        symbols=st.lists(st.text(max_size=3), max_size=4),
+        surface=st.text(min_size=1, max_size=3),
+    )
+    def test_a_model_that_saves_also_loads(self, symbols, surface):
+        try:
+            ts = TagSet(["N", "@dot", *symbols])
+            StateSpace(ts)
+        except TagInventoryError:
+            return
+        tokens = [Token(f"w{t.index}") for t in ts] + [Token(surface)]
+        corpus = [AnnotatedSentence(tokens, [*ts, ts.tag("@dot")])]
+        lex, trans = LexicalModel.train(corpus, ts), TransitionModel.train(corpus, ts)
+        try:
+            text = dumps_model(lex, trans)
+        except InputError:
+            assert "\t" in surface or surface.splitlines() != [surface]
+            return
+        assert dumps_model(*loads_model(text)) == text
 
     def test_trigram_counts_survive(self):
         lex, trans = trained()
@@ -319,6 +403,7 @@ BAD_FIELDS = {
     "prior-nan": ("priors word ", 1, lambda l: l.rsplit(" ", 1)[0] + " nan"),
     "zero-punct-count": ("punct-table ", 1, lambda l: l.rsplit(" ", 1)[0] + " 0"),
     "punct-entry-without-tab": ("punct-table ", 1, lambda l: l.replace("\t", " ")),
+    "punct-entry-without-counts": ("punct-table ", 1, lambda l: l.split("\t")[0] + "\t "),
     "transition-k-nan": (TRANS_HEADER, 1, lambda l: "config k nan"),
     "lexical-k-inf": ("config ", 0, lambda l: l.replace("config k 1.0 ", "config k inf ")),
     "non-ascii-section-header": ("priors word ", 0, lambda l: l.translate(ARABIC_INDIC_DIGITS)),
@@ -364,10 +449,13 @@ class TestMalformedFields:
             lex, trans = loads_model("\n".join(lines) + "\n")
         except InputError:
             return
-        # a model that loads must also work on first use
+        # a model that loads must also work on first use, and its dump must
+        # load back to the same dump
         trans.probs
         for surface in ("walk", "the", "talks", ".", ",", "Xyz"):
             lex.candidate_tags(surface)
+        text = dumps_model(lex, trans)
+        assert dumps_model(*loads_model(text)) == text
 
 
 class TestLongSurface:

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from ambitag.corpus import parse_annotated
+from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.errors import ConfigError, TagInventoryError
 from ambitag.ngram import BOUNDARY, StateSpace, TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
-from ambitag.tagset import parse_tagset
+from ambitag.tagset import TagSet, parse_tagset
 
 from oracles import blended_transition_oracle
 
@@ -72,6 +73,66 @@ class TestCounting:
         want = window_counts(corpus, len(hmm.tagset))
         assert model.trigrams.tolist() == sorted(map(list, want))
         assert model.counts.tolist() == [want[tuple(w)] for w in model.trigrams.tolist()]
+
+    def test_empty_corpus_has_no_windows(self):
+        model = TransitionModel.train([], TS3)
+        assert model.trigrams.shape == (0, 3)
+        assert model.counts.shape == (0,)
+
+    def test_one_word_sentences(self):
+        # ⊥ ⊥ t ⊥ per sentence: no window spans two sentences
+        model = _train("a\tA\n\nb\tB\n\na\tA\n")
+        assert model.trigrams.tolist() == [[B, 0, B], [B, 1, B], [B, B, 0], [B, B, 1]]
+        assert model.counts.tolist() == [2, 1, 2, 1]
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_short_sentences_match_a_counter_over_padded_windows(self, max_len):
+        hmm = build_synthetic_hmm(n_tags=5, vocab=50, seed=max_len)
+        corpus = sample_corpus(hmm, 500, seed=max_len, max_sentence_len=max_len)
+        model = TransitionModel.train(corpus, hmm.tagset)
+        want = window_counts(corpus, len(hmm.tagset))
+        assert model.trigrams.tolist() == sorted(map(list, want))
+        assert model.counts.tolist() == [want[tuple(w)] for w in model.trigrams.tolist()]
+
+    @pytest.mark.parametrize("n_tags,itemsize", [(3, 1), (254, 1), (255, 2)])
+    def test_windows_reach_the_constructor_unsigned(self, monkeypatch, n_tags, itemsize):
+        ts = TagSet([f"T{i}" for i in range(n_tags)])
+        seen = []
+        init = TransitionModel.__init__
+
+        def spy(self, tagset, k=1.0, windows=(), weights=None):
+            seen.append(windows)
+            init(self, tagset, k, windows, weights)
+
+        monkeypatch.setattr(TransitionModel, "__init__", spy)
+        corpus = [AnnotatedSentence([Token("w")] * 2, [ts.tags[0], ts.tags[-1]])]
+        model = TransitionModel.train(corpus, ts)
+        (windows,) = seen
+        assert windows.dtype.kind == "u" and windows.dtype.itemsize == itemsize
+        b, last = n_tags, n_tags - 1
+        assert windows.tolist() == [[b, b, 0], [b, 0, last], [0, last, b]]
+        assert model.counts.tolist() == [1, 1, 1]
+
+    def test_train_memory_on_100k_words(self):
+        rng = np.random.default_rng(0)
+        ts = TagSet([f"T{i}" for i in range(10)])
+        token, corpus, words = Token("w"), [], 0
+        while words < 100_000:
+            n = int(rng.integers(1, 31))
+            gold = [ts.tags[i] for i in rng.integers(10, size=n)]
+            corpus.append(AnnotatedSentence([token] * n, gold))
+            words += n
+        TransitionModel.train(corpus[:10], ts)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            model = TransitionModel.train(corpus, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.counts.sum() == words + len(corpus)
+        # Frozen from the per-sentence window loop that numpy windows replaced.
+        # Windows held as (m, 3) intp would take 24 bytes each, 2.5 MB here.
+        assert peak <= 2_237_750
 
     def test_windows_in_any_order_merge_by_weight(self):
         windows = [(B, 0, B), (B, B, 0), (0, 1, 2), (B, 0, B), (B, B, 0), (B, 0, B)]

@@ -61,6 +61,20 @@ class TestTagSet:
     def test_whitespace_in_symbol_names_line(self):
         with pytest.raises(TagInventoryError, match=":2:"):
             parse_tagset("A\nB C\n")
+        with pytest.raises(TagInventoryError) as exc:
+            parse_tagset("A\nB\tC\n", source="t.tags")
+        assert str(exc.value) == "t.tags:2: tag symbol contains whitespace: 'B\\tC'"
+
+    # a model file names tags one per line and splits fields on whitespace
+    @pytest.mark.parametrize("symbol", ["N x", "N\tx", " N", "N\n", "\x85N", "N\u2028", "\x1c"])
+    def test_constructor_rejects_whitespace(self, symbol):
+        with pytest.raises(TagInventoryError) as exc:
+            TagSet(["A", symbol])
+        assert str(exc.value) == f"tag symbol contains whitespace: {symbol!r}"
+
+    def test_constructor_rejects_an_empty_symbol(self):
+        with pytest.raises(TagInventoryError, match="^empty tag symbol$"):
+            TagSet(["A", ""])
 
     def test_comments_and_blanks_skipped(self):
         ts = parse_tagset("# header\n\nA\n\n# more\nB\n")
