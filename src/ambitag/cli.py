@@ -138,7 +138,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     sys.stdout.write(
         f"sentences {len(corpus)}\n"
         f"words {corpus_io.word_count(corpus)}\n"
-        f"surfaces {len(lex.word_counts) + len(lex.punct_table)}\n"
+        f"surfaces {len(lex.surfaces) + len(lex.punct_table)}\n"
         f"tagset-coverage {len(seen)}/{len(tagset)}\n"
         f"model {args.model}\n"
     )

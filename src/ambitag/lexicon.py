@@ -1,16 +1,19 @@
 """Reverse-suffix-trie lexicon: smoothed P(tag | word) and the relative
 lexical scores P(tag | word) / P(tag) the decoder consumes.
 
-Words are stored spelled backwards, so nodes correspond to suffixes.  The
-model is built once, from word surfaces and their tag counts: inserting a
-surface adds its counts to every node on its path, so each node holds the
-counts of the words in its subtree, and a repeated surface sums.  A
-node's distribution is blended with its parent's, top-down from a uniform
-anchor: P_node(x) = (c(node,x) + k * P_parent(x)) / (c(node) + k).  Known
-words blend their own terminal counts with the subtree distributions of
-the nearest branching ancestors; unknown words blend the whole matched
-path from the root and are then mixed with a shape-class distribution.
-Punctuation surfaces bypass the trie entirely (exact-match table).
+The surface table, {surface: {tag id: count}}, is the only store of the
+word counts; the model file writes it and reads it back.  The trie is a
+private lookup index built from it once: words are stored spelled
+backwards, so nodes correspond to suffixes, and inserting a surface adds
+its counts to every node on its path, so each node holds the counts of
+the words in its subtree.  A node's distribution is blended with its
+parent's, top-down from a uniform anchor:
+P_node(x) = (c(node,x) + k * P_parent(x)) / (c(node) + k).  Known words
+blend their own counts with the subtree distributions of the nearest
+branching ancestors, those with two or more children or whose suffix is
+itself a surface; unknown words blend the whole matched path from the
+root and are then mixed with a shape-class distribution.  Punctuation
+surfaces bypass the trie entirely (exact-match table).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -31,7 +33,7 @@ from .corpus import (
     AnnotatedSentence,
     word_shape,
 )
-from .errors import ConfigError, InconsistentPriorError, TagInventoryError
+from .errors import ConfigError, InconsistentPriorError, InputError, TagInventoryError
 from .tagset import Tag, TagSet
 
 _surface = attrgetter("surface")
@@ -63,17 +65,11 @@ class SmoothingConfig:
 
 
 class TrieNode:
-    __slots__ = ("children", "term_counts", "tag_counts", "total")
+    __slots__ = ("children", "tag_counts")
 
     def __init__(self):
         self.children: dict[str, TrieNode] = {}
-        self.term_counts: dict[int, int] = {}  # words ending exactly here
         self.tag_counts: dict[int, int] = {}  # words ending in this subtree
-        self.total = 0
-
-    @property
-    def branching(self) -> bool:
-        return bool(self.term_counts) or len(self.children) >= 2
 
 
 def _word_tag_ids(tagset: TagSet) -> list[int]:
@@ -101,10 +97,13 @@ class LexicalModel:
         punct_priors: np.ndarray,
         class_dists: dict[str, np.ndarray],
         punct_table: dict[str, dict[int, int]],
-        surfaces: Iterable[tuple[str, dict[int, int]]],
+        surfaces: dict[str, dict[int, int]],
     ):
-        """The trie holds `surfaces`, (surface, {tag id: count}) pairs; a repeated
-        surface sums.  `priors` and `punct_priors` are each tag family's priors."""
+        """`surfaces` maps each word surface to its {tag id: count}, and the
+        trie indexes it.  `priors` and `punct_priors` are each tag family's
+        priors."""
+        if "" in surfaces:
+            raise InputError("a word surface cannot be empty")
         word_ids = _word_tag_ids(tagset)
         self.tagset = tagset
         self.config = config
@@ -112,11 +111,9 @@ class LexicalModel:
         self.punct_priors = punct_priors
         self.class_dists = class_dists
         self.punct_table = punct_table
+        self.surfaces = surfaces
         self.root = TrieNode()
-        self.word_counts: dict[str, int] = {}
-        for surface, counts in surfaces:
-            n = sum(counts.values())
-            self.word_counts[surface] = self.word_counts.get(surface, 0) + n
+        for surface, counts in surfaces.items():
             node = self.root
             path = [node]
             for ch in reversed(surface):
@@ -124,10 +121,7 @@ class LexicalModel:
                 if child is None:
                     child = node.children[ch] = TrieNode()
                 path.append(node := child)
-            for t, c in counts.items():
-                node.term_counts[t] = node.term_counts.get(t, 0) + c
             for node in path:
-                node.total += n
                 into = node.tag_counts
                 for t, c in counts.items():
                     into[t] = into.get(t, 0) + c
@@ -209,14 +203,13 @@ class LexicalModel:
             SHAPE_ALL_CAPS: allcaps / allcaps.sum() if allcaps.sum() > 0 else infreq_dist.copy(),
             "infrequent": infreq_dist,
         }
-        return cls(
-            tagset, config, priors, punct_priors, class_dists, punct_table, surface_tags.items()
-        )
+        return cls(tagset, config, priors, punct_priors, class_dists, punct_table, surface_tags)
 
     # -- lookup ------------------------------------------------------------
 
-    def _blend(self, counts: dict[int, int], total: int, parent: np.ndarray) -> np.ndarray:
+    def _blend(self, counts: dict[int, int], parent: np.ndarray) -> np.ndarray:
         k = self.config.k
+        total = sum(counts.values())
         if total + k == 0:  # k=0 on an empty node: defer to the parent
             return parent
         v = parent * k
@@ -235,18 +228,21 @@ class LexicalModel:
             path.append(node)
         return path
 
-    def _known_chain(self, path: list[TrieNode]) -> list[TrieNode]:
-        """Terminal node plus its nearest branching strict ancestors."""
-        chain = [path[-1]]
+    def _branching_ancestors(self, surface: str) -> list[TrieNode]:
+        """The nearest `known_lookup_levels` strict ancestors of a known
+        surface's node that branch, root first; the node at depth d branches
+        when it has two or more children or its suffix is itself a surface."""
+        found: list[TrieNode] = []
         levels = self.config.known_lookup_levels
-        for node in reversed(path[:-1]):
-            if levels == 0:
+        path = self._match_path(surface)
+        n = len(surface)
+        for d in range(n - 1, -1, -1):
+            if len(found) == levels:
                 break
-            if node.branching:
-                chain.append(node)
-                levels -= 1
-        chain.reverse()
-        return chain
+            if len(path[d].children) >= 2 or surface[n - d :] in self.surfaces:
+                found.append(path[d])
+        found.reverse()
+        return found
 
     def _dist_vector(self, surface: str) -> np.ndarray:
         cached = self._dist_cache.get(surface)
@@ -258,14 +254,11 @@ class LexicalModel:
             for t, c in counts.items():
                 v[t] = c
             v /= v.sum()
-        elif self.word_counts.get(surface, 0) >= self.config.known_threshold:
-            path = self._match_path(surface)
+        elif self.is_known(surface):
             dist = self._anchor
-            chain = self._known_chain(path)
-            for node in chain[:-1]:
-                dist = self._blend(node.tag_counts, node.total, dist)
-            terminal = chain[-1]
-            v = self._blend(terminal.term_counts, sum(terminal.term_counts.values()), dist)
+            for node in self._branching_ancestors(surface):
+                dist = self._blend(node.tag_counts, dist)
+            v = self._blend(self.surfaces[surface], dist)
         else:
             # The cache holds only the model's own surfaces, so it stays
             # bounded; the last unknown one is kept because a lattice looks a
@@ -275,7 +268,7 @@ class LexicalModel:
                 return last[1]
             dist = self._anchor
             for node in self._match_path(surface):
-                dist = self._blend(node.tag_counts, node.total, dist)
+                dist = self._blend(node.tag_counts, dist)
             w = self.config.class_mix
             v = (1.0 - w) * dist + w * self._class_dist(surface)
             self._last_unknown = (surface, v)
@@ -288,10 +281,6 @@ class LexicalModel:
         if shape in (SHAPE_CAPITALIZED, SHAPE_ALL_CAPS):
             return self.class_dists[shape]
         return self.class_dists["infrequent"]
-
-    def tag_distribution(self, surface: str) -> dict[Tag, float]:
-        v = self._dist_vector(surface)
-        return {self.tagset.by_index(i): p for i, p in enumerate(v) if p > 0.0}
 
     def converse_lexical_probs(self, surface: str, tags: list[Tag]) -> np.ndarray:
         """P(tag | surface) / P(tag) for each tag, the prior taken from the
@@ -311,9 +300,6 @@ class LexicalModel:
             prior = np.where(zero, 1.0, prior)  # cond is 0 there: scores 0
         return cond / prior
 
-    def converse_lexical_prob(self, surface: str, tag: Tag) -> float:
-        return float(self.converse_lexical_probs(surface, [tag])[0])
-
     def candidate_tags(self, surface: str) -> list[Tag]:
         """Tags with blended mass above support_epsilon, most probable first.
 
@@ -329,7 +315,7 @@ class LexicalModel:
         return [self.tagset.by_index(i) for i in idx]
 
     def is_known(self, surface: str) -> bool:
-        return (
-            surface in self.punct_table
-            or self.word_counts.get(surface, 0) >= self.config.known_threshold
-        )
+        if surface in self.punct_table:
+            return True
+        counts = self.surfaces.get(surface)
+        return counts is not None and sum(counts.values()) >= self.config.known_threshold

@@ -5,26 +5,28 @@ priors, shape-class distributions, punctuation table, depth-first trie
 dump) followed by an ``ambitag-trans v1`` section (blend strength and raw
 trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
-is byte-identical.  Trigram lines are written sorted and distinct, trie
-lines once per node and punct-table lines once per surface; on load,
-repeated trigrams, trie surfaces, punct-table surfaces and tags on one line
-all sum, and the lexicon is built once from the trie's surface counts.  A
-trie line with neither counts nor children, or a punct-table line with no
-counts, is rejected.  Every count is a positive integer below 2^63, and so
-is the sum of the trigram counts, merged as int64, and each tag's count
-merged within a trie line or a punct-table surface.  Punct-table surfaces
-are written unescaped, so one holding a tab or a line break cannot be saved.
+is byte-identical.  The trie section is written from the lexicon's surface
+table, one line per node of the reversed surfaces' trie, and read back
+into that table; the trie itself is the lexicon's private index.  Trigram
+lines are written sorted and distinct, trie lines once per node and
+punct-table lines once per surface; on load, repeated trigrams, trie
+surfaces, punct-table surfaces and tags on one line all sum.  A trie line
+with neither counts nor children, or a punct-table line with no counts, is
+rejected.  Every count is a positive integer below 2^63, and so is the sum
+of the trigram counts, merged as int64, and each tag's count merged within
+a trie or punct-table surface.  Punct-table surfaces are written unescaped,
+so one holding a tab or a line break cannot be saved.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from os.path import commonprefix
 from typing import TextIO
 
 import numpy as np
 
 from .errors import ConfigError, InputError, ModelFormatError, TagInventoryError
-from .lexicon import LexicalModel, SmoothingConfig, TrieNode
+from .lexicon import LexicalModel, SmoothingConfig
 from .ngram import StateSpace, TransitionModel
 from .tagset import TagSet
 
@@ -50,19 +52,19 @@ def _dec_char(field: str) -> str:
     raise ModelFormatError(f"bad character field {field!r}")
 
 
-def _dump_trie(root: TrieNode, symbols: list[str]) -> list[str]:
-    """Pre-order, children in character order.  Iterative, so a long
-    surface cannot exhaust the recursion limit."""
+def _dump_trie(surfaces: dict[str, dict[int, int]], symbols: list[str]) -> list[str]:
+    """One ``depth char (tag count)*`` line per node of the trie of reversed
+    surfaces, in pre-order with children in character order: the reversed
+    surfaces sorted, each adding the nodes below its longest common prefix
+    with the one before."""
     lines: list[str] = []
-    stack = [(0, "", root)]
-    while stack:
-        depth, ch, node = stack.pop()
-        stack += [(depth + 1, c, node.children[c]) for c in sorted(node.children, reverse=True)]
-        if depth:
-            parts = [str(depth), _enc_char(ch)]
-            for t in sorted(node.term_counts):
-                parts += [symbols[t], str(node.term_counts[t])]
-            lines.append(" ".join(parts))
+    prev = ""
+    for rev in sorted(surface[::-1] for surface in surfaces):
+        depth = len(commonprefix((prev, rev)))
+        lines += [f"{d} {_enc_char(rev[d - 1])}" for d in range(depth + 1, len(rev) + 1)]
+        counts = surfaces[rev[::-1]]
+        lines[-1] += "".join(f" {symbols[t]} {counts[t]}" for t in sorted(counts))
+        prev = rev
     return lines
 
 
@@ -104,7 +106,7 @@ def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
                 "and cannot be written to a model file"
             )
         lines.append(line)
-    trie_lines = _dump_trie(lex.root, symbols)
+    trie_lines = _dump_trie(lex.surfaces, symbols)
     lines.append(f"trie {len(trie_lines)}")
     lines += trie_lines
 
@@ -176,18 +178,14 @@ def _count(field: str, what: str) -> int:
     return n
 
 
-def _term_counts(
-    fields: list[str], lookup: dict[str, int], into: dict[int, int] | None = None
-) -> dict[int, int]:
-    """``tag count tag count ...`` added to `into`, or to a new dict, as
-    {tag id: count}; a repeated tag sums, and each sum stays below 2^63."""
-    counts = {} if into is None else into
+def _term_counts(fields: list[str], lookup: dict[str, int], into: dict[int, int]) -> None:
+    """``tag count tag count ...`` added to `into`, {tag id: count}; a
+    repeated tag sums, and each sum stays below 2^63."""
     for sym, count in zip(fields[0::2], fields[1::2], strict=True):
         t = lookup[sym]
-        n = counts[t] = counts.get(t, 0) + _count(count, "tag")
+        n = into[t] = into.get(t, 0) + _count(count, "tag")
         if n >= 2**63:
             raise ModelFormatError("tag counts sum to 2^63 or more")
-    return counts
 
 
 def _read_dist(lines: _Lines, header: str, lookup: dict[str, int]) -> np.ndarray:
@@ -241,9 +239,11 @@ def _read_punct_table(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[i
     return table
 
 
-def _read_trie(lines: _Lines, lookup: dict[str, int]) -> Iterator[tuple[str, dict[int, int]]]:
+def _read_trie(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int]]:
     """The pre-order trie dump, each line ``depth char (tag count)*``, as
-    (surface, {tag id: count}) for each line with counts."""
+    {surface: {tag id: count}} over the lines with counts; a repeated
+    surface sums."""
+    table: dict[str, dict[int, int]] = {}
     chars: list[str] = []  # the path from the root to the last node
     bare = 0  # the last line's number if it has no counts
     entries = lines.numbered(lines.count("trie "))
@@ -259,12 +259,13 @@ def _read_trie(lines: _Lines, lookup: dict[str, int]) -> Iterator[tuple[str, dic
             chars.append(_dec_char(ch))
             if terms:
                 # the path spells the surface backwards
-                yield "".join(reversed(chars)), _term_counts(terms, lookup)
+                _term_counts(terms, lookup, table.setdefault("".join(reversed(chars)), {}))
             bare = 0 if terms else lineno
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "trie line") from None
     if bare:
         raise ModelFormatError(f"line {bare}: trie node has neither counts nor children")
+    return table
 
 
 def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[list[int], list[int]]:

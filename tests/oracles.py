@@ -87,12 +87,87 @@ def trie_nodes(root):
         stack += [(ch + suffix, child) for ch, child in node.children.items()]
 
 
+def _blend(counts, parent, k):
+    """(count + k * parent) / (total + k), an empty zero-k level deferring
+    to the parent."""
+    total = sum(counts.values())
+    if total + k == 0:
+        return parent
+    v = parent * k
+    for t, c in counts.items():
+        v[t] += c
+    return v / (total + k)
+
+
+def known_word_dist(surfaces, priors, k, levels, surface):
+    """P(tag | surface) for a known word, from the {surface: {tag id: count}}
+    table alone.  The suffix of length d < len(surface) branches when two or
+    more characters extend it to a suffix of some surface, or when it is
+    itself a surface.  Starting from the uniform anchor over the tags with
+    nonzero prior, the nearest `levels` branching suffixes, shortest first,
+    each blend in the counts of every surface that ends in them; the word's
+    own counts blend last."""
+    import numpy as np
+
+    suffixes = {w[i:] for w in surfaces for i in range(len(w) + 1)}
+    chosen = []
+    for d in range(len(surface) - 1, -1, -1):
+        if len(chosen) == levels:
+            break
+        suffix = surface[len(surface) - d :]
+        extended_by = {x[0] for x in suffixes if len(x) == d + 1 and x.endswith(suffix)}
+        if len(extended_by) >= 2 or suffix in surfaces:
+            chosen.append(suffix)
+    support = np.flatnonzero(priors)
+    dist = np.zeros(len(priors))
+    dist[support] = 1.0 / len(support)
+    for suffix in reversed(chosen):
+        counts = {}
+        for w, row in surfaces.items():
+            if w.endswith(suffix):
+                for t, c in row.items():
+                    counts[t] = counts.get(t, 0) + c
+        dist = _blend(counts, dist, k)
+    return _blend(surfaces[surface], dist, k)
+
+
+def trie_dump(surfaces, symbols):
+    """A model file's trie lines, walked node by node.  The nodes are the
+    nonempty suffixes of the surfaces, each the child of the suffix one
+    character shorter; the walk is pre-order with children in character
+    order.  A node's line is ``depth char (tag count)*``, with the counts of
+    the surface equal to its suffix by tag id; the character is escaped as
+    ``\\uXXXX`` or ``\\UXXXXXXXX`` unless it is printable, not whitespace
+    and not a backslash."""
+
+    def escape(ch):
+        if ch.isprintable() and not ch.isspace() and ch != "\\":
+            return ch
+        return f"\\u{ord(ch):04x}" if ord(ch) <= 0xFFFF else f"\\U{ord(ch):08x}"
+
+    children = {}
+    for suffix in {w[i:] for w in surfaces for i in range(len(w))}:
+        children.setdefault(suffix[1:], []).append(suffix)
+    lines = []
+    stack = [""]
+    while stack:
+        node = stack.pop()
+        if node:
+            counts = surfaces.get(node, {})
+            fields = [str(len(node)), escape(node[0])]
+            for t in sorted(counts):
+                fields += [symbols[t], str(counts[t])]
+            lines.append(" ".join(fields))
+        stack += sorted(children.get(node, []), reverse=True)
+    return lines
+
+
 def recount_lexicon(corpus, tagset, cutoff):
     """What lexicon training estimates, recounted token by token: the
     word-tag and punctuation-tag priors, the shape-class distributions, the
-    exact-match table of every surface that ever carries a punctuation tag,
-    the other surfaces' counts, and each word surface's total, all in
-    first-seen order.  Returns a dict of numpy vectors and plain dicts."""
+    exact-match table of every surface that ever carries a punctuation tag
+    and the other surfaces' counts, all in first-seen order.  Returns a dict
+    of numpy vectors and plain dicts."""
     import numpy as np
 
     n = len(tagset)
@@ -152,5 +227,4 @@ def recount_lexicon(corpus, tagset, cutoff):
         },
         "punct_table": table,
         "surfaces": surfaces,
-        "word_counts": {s: sum(row.values()) for s, row in surfaces.items()},
     }

@@ -108,7 +108,7 @@ def test_c4_decoder_matches_enumeration():
         dec = decode_sentence(lex, trans, cohorts)
         ids = [[t.index for t in cs] for cs in dec.candidates]
         ap = [
-            {j: lex.converse_lexical_prob(c.token.surface, ts.by_index(j)) for j in pos}
+            {j: lex.converse_lexical_probs(c.token.surface, [ts.by_index(j)])[0] for j in pos}
             for c, pos in zip(cohorts, ids)
         ]
         total, post, _, best_w = brute_force_decode(trans, ap, ids)

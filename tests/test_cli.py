@@ -246,6 +246,23 @@ class TestTag:
         assert err.startswith(f"error: line {idx + 1}: ") and "below 2^63" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["tag", "sweep"])
+    def test_repeated_trie_surface_summing_to_2_63_is_exit_2(self, ws, capsys, command):
+        model = ws / train_model(ws)
+        lines = model.read_text(encoding="utf-8").splitlines()
+        head = next(i for i, l in enumerate(lines) if l.startswith("trie "))
+        dog = lines.index("3 d N 8", head)  # "dog" reversed
+        lines[dog] = f"3 d N {2**62}"
+        lines[head] = f"trie {int(lines[head].split()[1]) + 3}"
+        end = lines.index("ambitag-trans v1")
+        lines[end:end] = ["1 g", "2 o", f"3 d N {2**62}"]
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = ws / ("input.cohorts" if command == "tag" else "train.txt")
+        capsys.readouterr()
+        assert main([command, str(data), "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {end + 3}: tag counts sum to 2^63 or more\n"
+
     def test_empty_surface_in_cohort_file_is_exit_2(self, ws, capsys):
         model = train_model(ws)
         cohorts = ws / "blank.cohorts"
@@ -339,7 +356,10 @@ class TestViterbiMode:
         for sent, got in zip(inputs, tagged):
             ids = [sorted(t.index for t in c.candidates) for c in sent]
             ap = [
-                {i: lex.converse_lexical_prob(c.token.surface, lex.tagset.by_index(i)) for i in pos}
+                {
+                    i: lex.converse_lexical_probs(c.token.surface, [lex.tagset.by_index(i)])[0]
+                    for i in pos
+                }
                 for c, pos in zip(sent, ids)
             ]
             _, _, best, best_w = brute_force_decode(trans, ap, ids)

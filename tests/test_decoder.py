@@ -58,7 +58,7 @@ def models(seed: int, k_lex: float = 1.0, k_trans: float = 1.0):
 
 def aprime_dicts(lex, cohorts, ids):
     return [
-        {i: lex.converse_lexical_prob(c.token.surface, TS.by_index(i)) for i in pos_ids}
+        {i: lex.converse_lexical_probs(c.token.surface, [TS.by_index(i)])[0] for i in pos_ids}
         for c, pos_ids in zip(cohorts, ids)
     ]
 
@@ -159,9 +159,9 @@ class TestInvariances:
         bid = trans.space.boundary_id
         want = (
             math.log(trans.row(bid, bid)[a.index])
-            + math.log(lex.converse_lexical_prob("wa", a))
+            + math.log(lex.converse_lexical_probs("wa", [a])[0])
             + math.log(trans.row(bid, a.index)[b.index])
-            + math.log(lex.converse_lexical_prob("wb", b))
+            + math.log(lex.converse_lexical_probs("wb", [b])[0])
         )
         assert decode.log_likelihood == pytest.approx(want, rel=1e-12)
         assert decode.viterbi_logp == pytest.approx(want, rel=1e-12)

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
-from ambitag.errors import ConfigError, InconsistentPriorError, TagInventoryError
+from ambitag.errors import ConfigError, InconsistentPriorError, InputError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
 from ambitag.modelfile import dumps_model
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import WORD, TagSet, parse_tagset
 
-from oracles import kl_divergence, recount_lexicon, trie_nodes
+from oracles import known_word_dist, kl_divergence, recount_lexicon, trie_nodes
 
 TS2 = parse_tagset("A\nB\n")
 TS_NV = parse_tagset("N\nV\n@fullstop\n@semicolon\n")
@@ -29,7 +29,7 @@ def bare_model(ts, priors, **cfg) -> LexicalModel:
     """A model with the given word-tag priors, no class distributions and
     an empty trie."""
     n = len(ts)
-    return LexicalModel(ts, SmoothingConfig(**cfg), np.array(priors), np.zeros(n), {}, {}, ())
+    return LexicalModel(ts, SmoothingConfig(**cfg), np.array(priors), np.zeros(n), {}, {}, {})
 
 
 def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
@@ -42,10 +42,8 @@ def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
     assert list(model._anchor) == [0.5, 0.5]  # uniform over both supported tags
     model.class_dists = {n: model._anchor.copy() for n in ("capitalized", "all-caps", "infrequent")}
     model.root.tag_counts = {0: 3, 1: 1}
-    model.root.total = 4
     s = model.root.children["s"] = TrieNode()
     s.tag_counts = {1: 2}
-    s.total = 2
     return model
 
 
@@ -64,9 +62,9 @@ class TestBlendByHand:
     def test_converse_score(self):
         model = hand_model()
         b = TS2.tag("B")
-        assert model.converse_lexical_prob("xs", b) == pytest.approx((2.3 / 3) / 0.25)
+        assert model.converse_lexical_probs("xs", [b])[0] == pytest.approx((2.3 / 3) / 0.25)
         a = TS2.tag("A")
-        assert model.converse_lexical_prob("xs", a) == pytest.approx((0.7 / 3) / 0.75)
+        assert model.converse_lexical_probs("xs", [a])[0] == pytest.approx((0.7 / 3) / 0.75)
 
     def test_large_k_approaches_anchor(self):
         model = hand_model(k=1e9)
@@ -100,20 +98,21 @@ class TestTrainedKnownWord:
         # no branching ancestors in a one-word trie, so the chain is just
         # anchor -> terminal: (3 + 0.5)/5 and (1 + 0.5)/5
         model = _train(WALK_CORPUS)
-        dist = model.tag_distribution("walk")
-        assert dist[TS_NV.tag("N")] == pytest.approx(0.7)
-        assert dist[TS_NV.tag("V")] == pytest.approx(0.3)
+        dist = model._dist_vector("walk")
+        assert dist[TS_NV.tag("N").index] == pytest.approx(0.7)
+        assert dist[TS_NV.tag("V").index] == pytest.approx(0.3)
 
     def test_converse_scores(self):
         model = _train(WALK_CORPUS)
-        assert model.converse_lexical_prob("walk", TS_NV.tag("N")) == pytest.approx(0.7 / 0.75)
-        assert model.converse_lexical_prob("walk", TS_NV.tag("V")) == pytest.approx(0.3 / 0.25)
+        n, v = model.converse_lexical_probs("walk", [TS_NV.tag("N"), TS_NV.tag("V")])
+        assert n == pytest.approx(0.7 / 0.75)
+        assert v == pytest.approx(0.3 / 0.25)
 
     def test_k_zero_single_tag_word_is_certain(self):
         text = "\n\n".join(["zz\tN"] * 100)
         model = _train(text, k=0.0)
-        dist = model.tag_distribution("zz")
-        assert dist == {TS_NV.tag("N"): 1.0}
+        # N certain, every other tag of TS_NV at zero
+        assert list(model._dist_vector("zz")) == [1.0, 0.0, 0.0, 0.0]
 
     def test_lookup_levels_change_the_chain(self):
         # "walks" N 2x and "talks" V 6x share the suffix node for "-alks",
@@ -121,9 +120,9 @@ class TestTrainedKnownWord:
         text = "\n\n".join(["walks\tN"] * 2 + ["talks\tV"] * 6)
         deep = _train(text, known_lookup_levels=2)
         shallow = _train(text, known_lookup_levels=0)
-        v = TS_NV.tag("V")
-        assert shallow.tag_distribution("walks")[v] == pytest.approx(0.5 / 3)
-        assert deep.tag_distribution("walks")[v] == pytest.approx(6.5 / 27)
+        v = TS_NV.tag("V").index
+        assert shallow._dist_vector("walks")[v] == pytest.approx(0.5 / 3)
+        assert deep._dist_vector("walks")[v] == pytest.approx(6.5 / 27)
 
     def test_known_threshold(self):
         model = _train(WALK_CORPUS, known_threshold=5)
@@ -183,14 +182,14 @@ class TestPunctuation:
 
     def test_exact_match_table_holds_all_observed_tags(self):
         model = _train(self.MIXED)
-        dist = model.tag_distribution(";")
-        assert dist[TS_NV.tag("@semicolon")] == pytest.approx(2 / 3)
-        assert dist[TS_NV.tag("N")] == pytest.approx(1 / 3)
-        assert len(dist) == 2
+        dist = model._dist_vector(";")
+        assert dist[TS_NV.tag("@semicolon").index] == pytest.approx(2 / 3)
+        assert dist[TS_NV.tag("N").index] == pytest.approx(1 / 3)
+        assert np.count_nonzero(dist) == 2
 
     def test_punct_surface_not_in_trie(self):
         model = _train(self.MIXED)
-        assert ";" not in model.word_counts
+        assert ";" not in model.surfaces
         assert ";" in model.punct_table
         assert model.is_known(";")
 
@@ -201,7 +200,7 @@ class TestPunctuation:
         assert model.punct_priors[TS_NV.tag("@fullstop").index] == pytest.approx(0.5)
         # word prior still counts the N use of ";"
         assert model.priors[TS_NV.tag("N").index] == pytest.approx(0.5)
-        assert model.converse_lexical_prob(";", semi) == pytest.approx((2 / 3) / 0.5)
+        assert model.converse_lexical_probs(";", [semi])[0] == pytest.approx((2 / 3) / 0.5)
 
     def test_candidates_are_exactly_observed(self):
         model = _train(self.MIXED)
@@ -215,7 +214,7 @@ class TestDegenerate:
             model = LexicalModel.train([], TS_NV)
         for t in TS_NV.word_tags():
             assert model.priors[t.index] == 0.5
-            assert model.converse_lexical_prob("anything", t) == pytest.approx(1.0)
+            assert model.converse_lexical_probs("anything", [t])[0] == pytest.approx(1.0)
         assert [t.symbol for t in model.candidate_tags("anything")] == ["N", "V"]
 
     def test_punctuation_only_inventory_rejected(self):
@@ -229,7 +228,7 @@ class TestDegenerate:
         model = bare_model(TS2, [1.0, 0.0])
         model._dist_cache["zz"] = np.array([0.5, 0.5])
         with pytest.raises(InconsistentPriorError, match="zz"):
-            model.converse_lexical_prob("zz", TS2.tag("B"))
+            model.converse_lexical_probs("zz", [TS2.tag("B")])
 
     def test_vector_scores_take_each_prior_from_the_tags_family(self):
         model = _train("walk\tN\nwalk\tV\n;\t@semicolon\n.\t@fullstop\n")
@@ -252,7 +251,18 @@ class TestDegenerate:
     def test_zero_prior_zero_mass_scores_zero(self):
         model = bare_model(TS2, [1.0, 0.0])
         model._dist_cache["qq"] = np.array([1.0, 0.0])
-        assert model.converse_lexical_prob("qq", TS2.tag("B")) == 0.0
+        assert model.converse_lexical_probs("qq", [TS2.tag("B")])[0] == 0.0
+
+    def test_empty_surface_is_refused(self):
+        n, v = TS_NV.tag("N"), TS_NV.tag("V")
+        corpus = [AnnotatedSentence([Token(""), Token("a")], [n, v])]
+        with pytest.raises(InputError, match="empty"):
+            LexicalModel.train(corpus, TS_NV)
+        with pytest.raises(InputError, match="empty"):
+            LexicalModel(
+                TS_NV, SmoothingConfig(), np.array([0.5, 0.5, 0.0, 0.0]), np.zeros(4), {}, {},
+                {"a": {v.index: 1}, "": {n.index: 1}},
+            )
 
     def test_config_validation(self):
         for k in (-1.0, float("nan"), float("inf")):
@@ -271,7 +281,7 @@ class TestCache:
         corpus = parse_annotated(WALK_CORPUS + "\n.\t@fullstop\n", TS_NV)
         model = LexicalModel.train(corpus, TS_NV)
         trans = TransitionModel.train(corpus, TS_NV)
-        known = {s for s in [*model.word_counts, *model.punct_table] if model.is_known(s)}
+        known = {s for s in [*model.surfaces, *model.punct_table] if model.is_known(s)}
         # 1000 distinct unseen surfaces, ten to a sentence, each ending in a known word
         sentences = [
             [Token(f"{'Qz' if i % 2 else 'qz'}{10 * i + j}") for j in range(10)]
@@ -340,7 +350,9 @@ class TestTrieStructure:
         for ch in "klaw":
             assert set(node.children) == {ch}
             node = node.children[ch]
-        assert node.term_counts == {TS_NV.tag("N").index: 3, TS_NV.tag("V").index: 1}
+        counts = {TS_NV.tag("N").index: 3, TS_NV.tag("V").index: 1}
+        assert not node.children and node.tag_counts == counts
+        assert model.surfaces == {"walk": counts}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_node_counts_the_words_ending_in_its_suffix(self, seed):
@@ -357,18 +369,44 @@ class TestTrieStructure:
         assert set(got) == set(want)
         for suffix, node in got.items():
             assert node.tag_counts == want[suffix]
-            assert node.total == want[suffix].total()
 
-    def test_branching_definition(self):
-        node = TrieNode()
-        assert not node.branching
-        node.children["a"] = TrieNode()
-        assert not node.branching
-        node.children["b"] = TrieNode()
-        assert node.branching
-        leaf = TrieNode()
-        leaf.term_counts = {0: 1}
-        assert leaf.branching
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_known_lookups_match_the_oracle(self, seed, levels):
+        corpus, ts = suffixed_corpus(seed)
+        k = (0.5, 1.0, 2.5)[seed - 1]
+        model = LexicalModel.train(corpus, ts, SmoothingConfig(k=k, known_lookup_levels=levels))
+        assert model.surfaces and not model.punct_table
+        for surface in model.surfaces:
+            want = known_word_dist(model.surfaces, model.priors, k, levels, surface)
+            assert np.array_equal(model._dist_vector(surface), want), surface
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_oracle_corpora_hold_both_kinds_of_branching(self, seed):
+        corpus, _ = suffixed_corpus(seed)
+        surfaces = {tok.surface for sent in corpus for tok in sent.tokens}
+        suffixes = {w[i:] for w in surfaces for i in range(len(w) + 1)}
+
+        def width(suffix):
+            return len({x for x in suffixes if len(x) == len(suffix) + 1 and x.endswith(suffix)})
+
+        inner = [s for s in surfaces if any(w != s and w.endswith(s) for w in surfaces)]
+        # surfaces that branch only because they are surfaces, and suffixes
+        # that branch only because two characters extend them
+        assert any(width(s) == 1 for s in inner)
+        assert any(width(x) >= 2 for x in suffixes - surfaces)
+
+
+def suffixed_corpus(seed: int):
+    """A synthetic corpus plus a copy of every fourth sentence with each
+    word cut to its second half, so that many surfaces are also suffixes of
+    other surfaces."""
+    hmm = build_synthetic_hmm(n_tags=6, vocab=80, seed=seed)
+    corpus = sample_corpus(hmm, 400, seed=seed)
+    for sent in corpus[::4]:
+        halves = [Token(t.surface[len(t.surface) // 2 :]) for t in sent.tokens]
+        corpus.append(AnnotatedSentence(halves, sent.gold))
+    return corpus, hmm.tagset
 
 
 def punctuated_corpus(seed: int, n_punct: int, words: int = 3000):
@@ -415,10 +453,10 @@ class TestRecount:
         for name, dist in want["class_dists"].items():
             assert np.array_equal(lex.class_dists[name], dist), name
         assert list(lex.punct_table.items()) == list(want["punct_table"].items())
-        assert list(lex.word_counts.items()) == list(want["word_counts"].items())
+        assert list(lex.surfaces.items()) == list(want["surfaces"].items())
         recounted = LexicalModel(
             ts, config, want["priors"], want["punct_priors"], want["class_dists"],
-            want["punct_table"], want["surfaces"].items(),
+            want["punct_table"], want["surfaces"],
         )
         trans = TransitionModel(ts)
         assert dumps_model(lex, trans) == dumps_model(recounted, trans)

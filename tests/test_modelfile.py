@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, decode_sentence
@@ -24,7 +25,7 @@ from ambitag.ngram import StateSpace, TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import TagSet, parse_tagset
 
-from oracles import trie_nodes
+from oracles import trie_dump, trie_nodes
 
 TS = parse_tagset("N\nV\nADV\n@dot\n@comma\n")
 
@@ -41,6 +42,22 @@ def trained(text: str = CORPUS_TEXT, **cfg):
     lex = LexicalModel.train(corpus, TS, SmoothingConfig(**cfg))
     trans = TransitionModel.train(corpus, TS, k=cfg.get("k", 1.0))
     return lex, trans
+
+
+# Suffix-sharing letters, spaces, backslashes, a tab, non-ASCII and astral
+# characters; every drawn table also holds a suffix of each of its words.
+SURFACE_CHARS = ["a", "b", " ", "\\", "\t", "é", "真", "\u00a0", "\U0001f600", "\U00010348"]
+
+
+@st.composite
+def surface_tables(draw):
+    words = draw(st.lists(st.text(SURFACE_CHARS, min_size=1, max_size=6), min_size=1, max_size=8))
+    cuts = draw(st.lists(st.integers(0, 5), min_size=len(words), max_size=len(words)))
+    words += [w[c % len(w) :] for w, c in zip(words, cuts)]
+    counts = st.dictionaries(
+        st.sampled_from([t.index for t in TS]), st.integers(1, 2**63 - 1), min_size=1, max_size=3
+    )
+    return {w: draw(counts) for w in words}
 
 
 class TestRoundTrip:
@@ -120,12 +137,12 @@ class TestRoundTrip:
 
         def nodes(lex):
             return {
-                suffix: (node.term_counts, node.tag_counts, node.total, set(node.children))
+                suffix: (node.tag_counts, set(node.children))
                 for suffix, node in trie_nodes(lex.root)
             }
 
         assert nodes(lex2) == nodes(lex)
-        assert lex2.word_counts == lex.word_counts
+        assert lex2.surfaces == lex.surfaces
 
     def test_repeated_trie_surface_sums_and_dumps_once(self):
         text = dumps_model(*trained())
@@ -134,8 +151,27 @@ class TestRoundTrip:
             TRANS_HEADER, "1 w\n2 o\n3 n ADV 2\n" + TRANS_HEADER
         )
         lex, trans = loads_model(twice)
-        assert lex.word_counts["now"] == 3
+        assert lex.surfaces["now"] == {TS.lookup["ADV"]: 3}
         assert dumps_model(lex, trans) == text.replace("\n3 n ADV 1\n", "\n3 n ADV 3\n")
+
+    def test_repeated_trie_surface_sum_stays_below_2_63(self):
+        text = dumps_model(*trained())
+        trie_at = text.splitlines().index("trie 16")
+        lineno = trie_at + 1 + 16 + 3  # the repeat's "now" line, after the trie's last line
+
+        def twice(count):
+            return text.replace("\ntrie 16\n", "\ntrie 19\n").replace(
+                "\n3 n ADV 1\n", f"\n3 n ADV {2**62}\n"
+            ).replace(TRANS_HEADER, f"1 w\n2 o\n3 n ADV {count}\n" + TRANS_HEADER)
+
+        with pytest.raises(
+            ModelFormatError, match=rf"^line {lineno}: tag counts sum to 2\^63 or more$"
+        ):
+            loads_model(twice(2**62))
+        # one below the bound loads, and its dump is a fixed point
+        merged = dumps_model(*loads_model(twice(2**62 - 1)))
+        assert f"\n3 n ADV {2**63 - 1}\n" in merged
+        assert dumps_model(*loads_model(merged)) == merged
 
     def test_repeated_tag_on_one_line_sums_and_dumps_merged(self):
         text = dumps_model(*trained())
@@ -144,7 +180,7 @@ class TestRoundTrip:
             "\n.\t@dot 2\n", "\n.\t@dot 1 @dot 2\n"
         )
         lex, trans = loads_model(twice)
-        assert lex.word_counts["now"] == 3
+        assert lex.surfaces["now"] == {TS.lookup["ADV"]: 3}
         assert lex.punct_table["."] == {TS.lookup["@dot"]: 3}
         merged = text.replace("\n3 n ADV 1\n", "\n3 n ADV 3\n").replace(
             "\n.\t@dot 2\n", "\n.\t@dot 3\n"
@@ -220,6 +256,24 @@ class TestRoundTrip:
             assert "\t" in surface or surface.splitlines() != [surface]
             return
         assert dumps_model(*loads_model(text)) == text
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(table=surface_tables())
+    @example(table={"a": {0: 1}, "ba": {1: 2}, "aba": {0: 3}, "b": {2: 1}})
+    def test_trie_section_is_the_node_by_node_walk(self, table):
+        base, trans = trained()
+        lex = LexicalModel(
+            TS, base.config, base.priors, base.punct_priors, base.class_dists,
+            base.punct_table, table,
+        )
+        text = dumps_model(lex, trans)
+        lines = text.splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("trie "))
+        want = trie_dump(table, [t.symbol for t in TS])
+        assert lines[at : at + len(want) + 2] == [f"trie {len(want)}", *want, TRANS_HEADER]
+        lex2, trans2 = loads_model(text)
+        assert lex2.surfaces == lex.surfaces
+        assert dumps_model(lex2, trans2) == text
 
     def test_trigram_counts_survive(self):
         lex, trans = trained()
@@ -456,6 +510,25 @@ class TestMalformedFields:
             lex.candidate_tags(surface)
         text = dumps_model(lex, trans)
         assert dumps_model(*loads_model(text)) == text
+
+
+class TestLoadMemory:
+    def test_load_memory_on_a_20k_word_model(self):
+        hmm = build_synthetic_hmm(n_tags=12, vocab=2000, seed=7)
+        corpus = sample_corpus(hmm, 20_000, seed=7)
+        lex = LexicalModel.train(corpus, hmm.tagset)
+        text = dumps_model(lex, TransitionModel.train(corpus, hmm.tagset))
+        loads_model(text)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            lex2, _ = loads_model(text)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lex2.surfaces == lex.surfaces
+        # Frozen from the loader that kept each word's counts on its trie node
+        # and in a word-count table, and a subtree total on every node.
+        assert held <= 3_171_584
 
 
 class TestLongSurface:
