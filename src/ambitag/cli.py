@@ -150,7 +150,6 @@ def cmd_tag(args: argparse.Namespace) -> int:
     lex, trans = load_model(args.model)
     sentences = corpus_io.read_cohorts(args.input, lex.tagset)
     threshold = 1.0 if args.full else cfg.threshold
-    tagged = []
     for si, sent in enumerate(sentences):
         try:
             decode = decode_sentence(lex, trans, sent, with_viterbi=cfg.mode == MODE_VITERBI)
@@ -159,15 +158,10 @@ def cmd_tag(args: argparse.Namespace) -> int:
             if not args.continue_on_error:
                 raise
             sys.stderr.write(f"sentence {si + 1}: {exc}; leaving ambiguous\n")
-            tagged.append(sent)
             continue
-        tagged.append(
-            [
-                corpus_io.Cohort(c.token, c.candidates, retained=w.retained)
-                for c, w in zip(sent, result.words)
-            ]
-        )
-    _write_out(corpus_io.format_cohorts(tagged), args.out)
+        for cohort, word in zip(sent, result.words):
+            cohort.retained = word.retained
+    _write_out(corpus_io.format_cohorts(sentences), args.out)
     return 0
 
 
@@ -419,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AmbitagError as exc:

@@ -1,19 +1,18 @@
-"""Reverse-suffix-trie lexicon: smoothed P(tag | word) and the relative
+"""Suffix-indexed lexicon: smoothed P(tag | word) and the relative
 lexical scores P(tag | word) / P(tag) the decoder consumes.
 
 The surface table, {surface: {tag id: count}}, is the only store of the
-word counts; the model file writes it and reads it back.  The trie is a
-private lookup index built from it once: words are stored spelled
-backwards, so nodes correspond to suffixes, and inserting a surface adds
-its counts to every node on its path, so each node holds the counts of
-the words in its subtree.  A node's distribution is blended with its
-parent's, top-down from a uniform anchor:
-P_node(x) = (c(node,x) + k * P_parent(x)) / (c(node) + k).  Known words
-blend their own counts with the subtree distributions of the nearest
-branching ancestors, those with two or more children or whose suffix is
-itself a surface; unknown words blend the whole matched path from the
-root and are then mixed with a shape-class distribution.  Punctuation
-surfaces bypass the trie entirely (exact-match table).
+word counts; the model file writes it and reads it back.  A private
+suffix table, built from it once, maps every suffix of every surface, ""
+included, to the summed counts of the surfaces that end in it.  A
+suffix's distribution blends its counts with that of the suffix one
+character shorter, from a uniform anchor:
+P_s(x) = (c(s,x) + k * P_shorter(x)) / (c(s) + k).  Known words blend
+their own counts with the nearest branching suffixes, those that two or
+more table suffixes extend by one character or that are themselves
+surfaces; unknown words blend every suffix they share with the table and
+are then mixed with a shape-class distribution.  Punctuation surfaces
+bypass the index entirely (exact-match table).
 """
 
 from __future__ import annotations
@@ -64,14 +63,6 @@ class SmoothingConfig:
             raise ConfigError("class_mix must be in [0, 1]")
 
 
-class TrieNode:
-    __slots__ = ("children", "tag_counts")
-
-    def __init__(self):
-        self.children: dict[str, TrieNode] = {}
-        self.tag_counts: dict[int, int] = {}  # words ending in this subtree
-
-
 def _word_tag_ids(tagset: TagSet) -> list[int]:
     ids = [t.index for t in tagset.word_tags()]
     if not ids:
@@ -100,10 +91,16 @@ class LexicalModel:
         surfaces: dict[str, dict[int, int]],
     ):
         """`surfaces` maps each word surface to its {tag id: count}, and the
-        trie indexes it.  `priors` and `punct_priors` are each tag family's
-        priors."""
+        suffix table indexes it.  `priors` and `punct_priors` are each tag
+        family's priors.  As in a model file, each surface needs counts, each
+        a positive integer below 2^63, and no word surface may be empty."""
         if "" in surfaces:
             raise InputError("a word surface cannot be empty")
+        for surface, counts in chain(surfaces.items(), punct_table.items()):
+            if not counts or min(counts.values()) < 1 or max(counts.values()) >= 2**63:
+                raise InputError(
+                    f"surface {surface!r} needs counts, each a positive integer below 2^63"
+                )
         word_ids = _word_tag_ids(tagset)
         self.tagset = tagset
         self.config = config
@@ -112,24 +109,24 @@ class LexicalModel:
         self.class_dists = class_dists
         self.punct_table = punct_table
         self.surfaces = surfaces
-        self.root = TrieNode()
+        # Every lookup blends the empty suffix, even with no surfaces.
+        table: dict[str, dict[int, int]] = {"": {}}
         for surface, counts in surfaces.items():
-            node = self.root
-            path = [node]
-            for ch in reversed(surface):
-                child = node.children.get(ch)
-                if child is None:
-                    child = node.children[ch] = TrieNode()
-                path.append(node := child)
-            for node in path:
-                into = node.tag_counts
-                for t, c in counts.items():
-                    into[t] = into.get(t, 0) + c
+            for i in range(len(surface) + 1):
+                suffix = surface[i:]
+                into = table.get(suffix)
+                if into is None:
+                    table[suffix] = dict(counts)
+                else:
+                    for t, c in counts.items():
+                        into[t] = into.get(t, 0) + c
+        self._suffix_counts = table
+        self._width = Counter(suffix[1:] for suffix in table if suffix)
         self._tag_priors = punct_priors.copy()  # each tag's prior from its own family
         self._tag_priors[word_ids] = priors[word_ids]
         self._anchor = _anchor(priors, word_ids)
-        self._dist_cache: dict[str, np.ndarray] = {}  # known surfaces only
-        self._last_unknown: tuple[str, np.ndarray] | None = None
+        # Only the model's own surfaces are cached, so the cache stays bounded.
+        self._dist_cache: dict[str, np.ndarray] = {}
 
     # -- training ----------------------------------------------------------
 
@@ -153,7 +150,7 @@ class LexicalModel:
             )
         )
         # Surfaces that ever carry a punctuation tag resolve to the
-        # exact-match table and stay out of the trie.
+        # exact-match table and stay out of the suffix index.
         punct_ids = set(punct_idx)
         punct_surfaces = {surface for surface, t in pairs if t in punct_ids}
 
@@ -217,30 +214,32 @@ class LexicalModel:
             v[t] += c
         return v / (total + k)
 
-    def _match_path(self, surface: str) -> list[TrieNode]:
-        """Root plus the nodes along the longest matching reversed suffix."""
-        path = [self.root]
-        node = self.root
-        for ch in reversed(surface):
-            node = node.children.get(ch)
-            if node is None:
+    def _match_path(self, surface: str) -> list[dict[int, int]]:
+        """The counts of the surface's suffixes in the table, shortest first.
+        The table holds every suffix of each suffix it holds, so the first
+        one missing ends the path."""
+        path = []
+        for i in range(len(surface), -1, -1):
+            counts = self._suffix_counts.get(surface[i:])
+            if counts is None:
                 break
-            path.append(node)
+            path.append(counts)
         return path
 
-    def _branching_ancestors(self, surface: str) -> list[TrieNode]:
-        """The nearest `known_lookup_levels` strict ancestors of a known
-        surface's node that branch, root first; the node at depth d branches
-        when it has two or more children or its suffix is itself a surface."""
-        found: list[TrieNode] = []
+    def _branching_ancestors(self, surface: str) -> list[dict[int, int]]:
+        """The counts of the nearest `known_lookup_levels` strict suffixes of
+        a known surface that branch, shortest first; a suffix branches when
+        two or more table suffixes extend it by one character or when it is
+        itself a surface."""
+        found = []
         levels = self.config.known_lookup_levels
-        path = self._match_path(surface)
         n = len(surface)
         for d in range(n - 1, -1, -1):
             if len(found) == levels:
                 break
-            if len(path[d].children) >= 2 or surface[n - d :] in self.surfaces:
-                found.append(path[d])
+            suffix = surface[n - d :]
+            if self._width[suffix] >= 2 or suffix in self.surfaces:
+                found.append(self._suffix_counts[suffix])
         found.reverse()
         return found
 
@@ -256,23 +255,15 @@ class LexicalModel:
             v /= v.sum()
         elif self.is_known(surface):
             dist = self._anchor
-            for node in self._branching_ancestors(surface):
-                dist = self._blend(node.tag_counts, dist)
+            for counts in self._branching_ancestors(surface):
+                dist = self._blend(counts, dist)
             v = self._blend(self.surfaces[surface], dist)
         else:
-            # The cache holds only the model's own surfaces, so it stays
-            # bounded; the last unknown one is kept because a lattice looks a
-            # word up once per candidate.
-            last = self._last_unknown
-            if last is not None and last[0] == surface:
-                return last[1]
             dist = self._anchor
-            for node in self._match_path(surface):
-                dist = self._blend(node.tag_counts, dist)
+            for counts in self._match_path(surface):
+                dist = self._blend(counts, dist)
             w = self.config.class_mix
-            v = (1.0 - w) * dist + w * self._class_dist(surface)
-            self._last_unknown = (surface, v)
-            return v
+            return (1.0 - w) * dist + w * self._class_dist(surface)
         self._dist_cache[surface] = v
         return v
 

@@ -7,7 +7,7 @@ trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
 is byte-identical.  The trie section is written from the lexicon's surface
 table, one line per node of the reversed surfaces' trie, and read back
-into that table; the trie itself is the lexicon's private index.  Trigram
+into that table; no trie is kept, the lexicon indexes it by suffix.  Trigram
 lines are written sorted and distinct, trie lines once per node and
 punct-table lines once per surface; on load, repeated trigrams, trie
 surfaces, punct-table surfaces and tags on one line all sum.  A trie line

@@ -51,11 +51,15 @@ class StateSpace:
 
 
 def _blend(counts: np.ndarray, parent: np.ndarray, k: float) -> np.ndarray:
-    """(count + k·parent) / (context + k) along the last axis; an empty
-    context with k=0 defers to the parent."""
+    """(count + k·parent) / (context + k) along the last axis, written over
+    `counts` so that no full-size temporary is made; an empty context with
+    k=0 defers to the parent."""
     ctx = counts.sum(axis=-1, keepdims=True) + k
+    counts += k * parent
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ctx == 0, parent, (counts + k * parent) / ctx)
+        counts /= ctx
+    np.copyto(counts, parent, where=ctx == 0)
+    return counts
 
 
 class TransitionModel:

@@ -76,17 +76,6 @@ def kl_divergence(p, q):
     return total
 
 
-def trie_nodes(root):
-    """(suffix, node) for every node of a reversed-suffix trie, the root as
-    the empty suffix; each child's character goes in front of its parent's
-    suffix."""
-    stack = [("", root)]
-    while stack:
-        suffix, node = stack.pop()
-        yield suffix, node
-        stack += [(ch + suffix, child) for ch, child in node.children.items()]
-
-
 def _blend(counts, parent, k):
     """(count + k * parent) / (total + k), an empty zero-k level deferring
     to the parent."""
@@ -129,6 +118,40 @@ def known_word_dist(surfaces, priors, k, levels, surface):
                     counts[t] = counts.get(t, 0) + c
         dist = _blend(counts, dist, k)
     return _blend(surfaces[surface], dist, k)
+
+
+def unknown_word_dist(surfaces, priors, class_dists, k, class_mix, surface):
+    """P(tag | surface) for an unknown word, from the {surface: {tag id:
+    count}} table alone.  Starting from the uniform anchor over the tags
+    with nonzero prior, every suffix of the surface that is a suffix of some
+    surface, the empty one included, blends in the counts of every surface
+    that ends in it, shortest first.  The result is mixed with the
+    distribution of the surface's shape class, weighted by class_mix."""
+    import numpy as np
+
+    suffixes = {""} | {w[i:] for w in surfaces for i in range(len(w))}
+    support = np.flatnonzero(priors)
+    dist = np.zeros(len(priors))
+    dist[support] = 1.0 / len(support)
+    for i in range(len(surface), -1, -1):
+        if surface[i:] in suffixes:
+            counts = {}
+            for w, row in surfaces.items():
+                if w.endswith(surface[i:]):
+                    for t, c in row.items():
+                        counts[t] = counts.get(t, 0) + c
+            dist = _blend(counts, dist, k)
+    shape = _shape(surface)
+    return (1.0 - class_mix) * dist + class_mix * class_dists[
+        shape if shape != "other" else "infrequent"
+    ]
+
+
+def _shape(surface):
+    """all-caps (two or more characters), capitalized, or other."""
+    if len(surface) >= 2 and surface.isupper():
+        return "all-caps"
+    return "capitalized" if surface[:1].isupper() else "other"
 
 
 def trie_dump(surfaces, symbols):
@@ -201,16 +224,11 @@ def recount_lexicon(corpus, tagset, cutoff):
         uniform_punct[punct] = 1.0 / len(punct)
     punct_priors = normalised(punct_counts, uniform_punct)
 
-    def shape(surface):
-        if len(surface) >= 2 and surface.isupper():
-            return "all-caps"
-        return "capitalized" if surface[:1].isupper() else "other"
-
     by_class = {name: np.zeros(n) for name in ("capitalized", "all-caps", "infrequent")}
     for surface, row in surfaces.items():
         for t, c in row.items():
-            if shape(surface) != "other":
-                by_class[shape(surface)][t] += c
+            if _shape(surface) != "other":
+                by_class[_shape(surface)][t] += c
             if sum(row.values()) <= cutoff:
                 by_class["infrequent"][t] += c
     supported = [i for i in word if priors[i] > 0]

@@ -58,6 +58,29 @@ def train_model(ws, *extra) -> str:
     return model
 
 
+NOT_UTF8 = {  # a command line per input file; {bad} is the file holding byte 0xff
+    "train corpus": "train {bad} --tagset {ws}/inventory.tags --model {ws}/m.txt",
+    "tagset": "train {ws}/train.txt --tagset {bad} --model {ws}/m.txt",
+    "config": "train {ws}/train.txt --model {ws}/m.txt --config {bad}",
+    "cohorts": "tag {bad} --model {model}",
+    "model": "tag {ws}/input.cohorts --model {bad}",
+    "gold corpus": "eval {bad} --model {model}",
+    "convert input": "convert {bad}",
+    "rules": "convert {ws}/analysis.txt --rules {bad}",
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_input_that_is_not_utf8_is_exit_2(ws, capsys, case):
+    model = train_model(ws)
+    (ws / "analysis.txt").write_text(WALK_BLOCK, encoding="utf-8")
+    (ws / "bad").write_bytes(b"dog\t\xff\n")
+    capsys.readouterr()
+    assert main(NOT_UTF8[case].format(bad=ws / "bad", ws=ws, model=model).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestTrain:
     def test_reports_stats_and_writes_model(self, ws, capsys):
         model = train_model(ws)

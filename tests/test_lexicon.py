@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -9,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
 from ambitag.errors import ConfigError, InconsistentPriorError, InputError, TagInventoryError
-from ambitag.lexicon import LexicalModel, SmoothingConfig, TrieNode
+from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.modelfile import dumps_model
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import WORD, TagSet, parse_tagset
 
-from oracles import known_word_dist, kl_divergence, recount_lexicon, trie_nodes
+from oracles import known_word_dist, kl_divergence, recount_lexicon, unknown_word_dist
 
 TS2 = parse_tagset("A\nB\n")
 TS_NV = parse_tagset("N\nV\n@fullstop\n@semicolon\n")
@@ -27,23 +28,22 @@ def _train(text: str, ts=TS_NV, **cfg) -> LexicalModel:
 
 def bare_model(ts, priors, **cfg) -> LexicalModel:
     """A model with the given word-tag priors, no class distributions and
-    an empty trie."""
+    an empty suffix table."""
     n = len(ts)
     return LexicalModel(ts, SmoothingConfig(**cfg), np.array(priors), np.zeros(n), {}, {}, {})
 
 
 def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
-    """Two-tag model with hand-set counts: root sees A 3x / B 1x, the
-    suffix node for 's' sees B 2x.  Set by hand because the node counts
-    are chosen for arithmetic: no corpus yields them, since a child never
-    counts more of a tag than its root.
+    """Two-tag model with hand-set counts: the empty suffix sees A 3x /
+    B 1x, the suffix 's' sees B 2x.  Set by hand because the counts are
+    chosen for arithmetic: no corpus yields them, since a suffix never
+    counts more of a tag than the empty suffix.
     """
     model = bare_model(TS2, [0.75, 0.25], k=k, class_mix=class_mix)
     assert list(model._anchor) == [0.5, 0.5]  # uniform over both supported tags
     model.class_dists = {n: model._anchor.copy() for n in ("capitalized", "all-caps", "infrequent")}
-    model.root.tag_counts = {0: 3, 1: 1}
-    s = model.root.children["s"] = TrieNode()
-    s.tag_counts = {1: 2}
+    model._suffix_counts = {"": {0: 3, 1: 1}, "s": {1: 2}}
+    model._width = Counter({"": 1})
     return model
 
 
@@ -133,8 +133,8 @@ class TestTrainedKnownWord:
 
 class TestUnknownWord:
     def test_matched_prefix_of_path_by_hand(self):
-        # "talk" shares root->k->l->a with the trie for "walk"; each node
-        # carries the same aggregate counts {N:3, V:1}, so the chain is four
+        # "talk" shares the suffixes "", "k", "lk" and "alk" with "walk"; each
+        # carries the same summed counts {N:3, V:1}, so the chain is four
         # successive blends, then an even mix with the class distribution
         # (which falls back to the anchor here).
         model = _train(WALK_CORPUS)
@@ -264,6 +264,18 @@ class TestDegenerate:
                 {"a": {v.index: 1}, "": {n.index: 1}},
             )
 
+    @pytest.mark.parametrize("row", [{}, {0: 2, 1: 0}, {0: 2**63}])
+    @pytest.mark.parametrize("table, surface", [("surfaces", "a"), ("punct_table", ".")])
+    def test_surface_counts_a_model_file_refuses_are_refused(self, table, surface, row):
+        n = TS_NV.tag("N").index
+        tables = {"surfaces": {"b": {n: 1}}, "punct_table": {";": {n: 1}}}
+        tables[table][surface] = row
+        with pytest.raises(InputError, match=f"surface '{surface}' needs counts"):
+            LexicalModel(
+                TS_NV, SmoothingConfig(), np.array([0.5, 0.5, 0.0, 0.0]),
+                np.array([0.0, 0.0, 0.5, 0.5]), {}, tables["punct_table"], tables["surfaces"],
+            )
+
     def test_config_validation(self):
         for k in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
@@ -346,12 +358,10 @@ class TestCandidates:
 class TestTrieStructure:
     def test_reverse_insertion(self):
         model = _train(WALK_CORPUS)
-        node = model.root
-        for ch in "klaw":
-            assert set(node.children) == {ch}
-            node = node.children[ch]
         counts = {TS_NV.tag("N").index: 3, TS_NV.tag("V").index: 1}
-        assert not node.children and node.tag_counts == counts
+        suffixes = ["", "k", "lk", "alk", "walk"]
+        assert model._suffix_counts == dict.fromkeys(suffixes, counts)
+        assert model._width == Counter(suffixes[:-1])  # one longer suffix each
         assert model.surfaces == {"walk": counts}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -365,10 +375,8 @@ class TestTrieStructure:
                 w = tok.surface
                 for i in range(len(w) + 1):
                     want.setdefault(w[i:], Counter())[tag.index] += 1
-        got = dict(trie_nodes(model.root))
-        assert set(got) == set(want)
-        for suffix, node in got.items():
-            assert node.tag_counts == want[suffix]
+        assert model._suffix_counts == want
+        assert model._width == Counter(suffix[1:] for suffix in want if suffix)
 
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -379,6 +387,28 @@ class TestTrieStructure:
         assert model.surfaces and not model.punct_table
         for surface in model.surfaces:
             want = known_word_dist(model.surfaces, model.priors, k, levels, surface)
+            assert np.array_equal(model._dist_vector(surface), want), surface
+
+    @pytest.mark.parametrize("class_mix", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unknown_lookups_match_the_oracle(self, seed, class_mix):
+        corpus, ts = suffixed_corpus(seed)
+        k = (0.5, 1.0, 2.5)[seed - 1]
+        config = SmoothingConfig(k=k, known_threshold=3, class_mix=class_mix)
+        model = LexicalModel.train(corpus, ts, config)
+        words = list(model.surfaces)
+        rng = random.Random(seed)
+        letters = sorted({ch for w in words for ch in w}) + ["é", "Q"]
+        rare = [w for w in words if sum(model.surfaces[w].values()) < 3]
+        unseen = [rng.choice(letters) + w for w in words]
+        unseen += [w.capitalize() for w in words] + [w.upper() for w in words]
+        unseen += ["".join(rng.choices(letters, k=rng.randint(1, 8))) for _ in range(100)]
+        unknown = rare + [w for w in unseen if w not in model.surfaces]
+        assert rare and all(not model.is_known(w) for w in unknown)
+        for surface in unknown:
+            want = unknown_word_dist(
+                model.surfaces, model.priors, model.class_dists, k, class_mix, surface
+            )
             assert np.array_equal(model._dist_vector(surface), want), surface
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
