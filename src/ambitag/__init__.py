@@ -4,15 +4,12 @@ lexicon and threshold-controlled multi-tag output."""
 from .corpus import (
     AnnotatedSentence,
     Cohort,
-    CorpusSplit,
     Token,
     read_annotated,
     read_cohorts,
-    split_corpus,
     split_for_learning_curve,
     word_count,
     write_annotated,
-    write_cohorts,
 )
 from .decoder import (
     MODE_POSTERIOR,
@@ -22,7 +19,6 @@ from .decoder import (
     apply_threshold,
     cohorts_for_tokens,
     decode_sentence,
-    tag_with_threshold,
 )
 from .errors import AmbitagError, InputError
 from .evalstats import (

@@ -99,8 +99,7 @@ class RunConfig:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            cfg.update_from_text(fh.read(), source=args.config)
+        cfg.update_from_text(corpus_io.read_text(args.config), source=args.config)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -113,14 +112,6 @@ def _tagset_from_args(args: argparse.Namespace) -> TagSet:
     if getattr(args, "tagset", None):
         return load_tagset(args.tagset)
     return default_tagset()
-
-
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -161,7 +152,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
             continue
         for cohort, word in zip(sent, result.words):
             cohort.retained = word.retained
-    _write_out(corpus_io.format_cohorts(sentences), args.out)
+    corpus_io.write_text(corpus_io.format_cohorts(sentences), args.out or sys.stdout)
     return 0
 
 
@@ -192,7 +183,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lex, trans = load_model(args.model)
     gold = corpus_io.read_annotated(args.input, lex.tagset)
     rep = evalstats.score(gold, lex, trans, cfg.threshold, cfg.mode)
-    _write_out(_report_text(cfg, rep, args.format), args.out)
+    corpus_io.write_text(_report_text(cfg, rep, args.format), args.out or sys.stdout)
     return 0
 
 
@@ -218,7 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gold, lex, trans, _parse_thresholds(args.thresholds), cfg.mode
     )
     body = table.to_csv() if args.format == "csv" else table.to_table()
-    _write_out(cfg.header() + body, args.out)
+    corpus_io.write_text(cfg.header() + body, args.out or sys.stdout)
     return 0
 
 
@@ -242,7 +233,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         body = f"{'Train words':>12} {'Error rate':>11}\n" + "".join(
             f"{n:>12} {e:>10.2%}\n" for n, e in points
         )
-    _write_out(cfg.header() + body, args.out)
+    corpus_io.write_text(cfg.header() + body, args.out or sys.stdout)
     return 0
 
 
@@ -278,20 +269,19 @@ def cmd_agree(args: argparse.Namespace) -> int:
         lines.append(f"differing positions {len(diffs)}")
         for si, wi, surface, ta, tb in diffs[:20]:
             lines.append(f"  sentence {si + 1} word {wi + 1} {surface!r}: {ta} vs {tb}")
-    _write_out("\n".join(lines) + "\n", args.out)
+    corpus_io.write_text("\n".join(lines) + "\n", args.out or sys.stdout)
     return 0
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     tagset = _tagset_from_args(args)
     rules = load_rules(args.rules, tagset) if args.rules else default_rules(tagset)
-    with open(args.input, encoding="utf-8") as fh:
-        blocks = parse_analysis_blocks(fh.read(), source=args.input)
+    blocks = parse_analysis_blocks(corpus_io.read_text(args.input), source=args.input)
     sentences = [
         [convert_cohort(token, readings, rules, tagset) for token, readings in sent]
         for sent in blocks
     ]
-    _write_out(corpus_io.format_cohorts(sentences), args.out)
+    corpus_io.write_text(corpus_io.format_cohorts(sentences), args.out or sys.stdout)
     return 0
 
 
@@ -305,10 +295,9 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
         ambiguous_frac=args.ambiguous_frac,
     )
     sentences = sample_corpus(model, args.words, seed=cfg.seed + 1)
-    corpus_io.write_annotated(sentences, args.out if args.out else sys.stdout)
+    corpus_io.write_annotated(sentences, args.out or sys.stdout)
     if args.tagset_out:
-        with open(args.tagset_out, "w", encoding="utf-8") as fh:
-            fh.write(model.tagset.to_text())
+        corpus_io.write_text(model.tagset.to_text(), args.tagset_out)
     return 0
 
 
@@ -413,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AmbitagError as exc:

@@ -1,5 +1,8 @@
 """Annotated and ambiguous (cohort) corpus I/O, plus reproducible splits.
 
+`read_text` and `write_text` are the package's only file reader and writer,
+both UTF-8; input that is not UTF-8 is named by path and byte offset.
+
 File conventions: one token per line, TAB between the surface form and its
 tag(s), blank line between sentences, full-line "#" comments.  Annotated
 files carry exactly one tag per token; cohort files carry a space-separated
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, TextIO
 
-from .errors import ConfigError, CorpusFormatError, InsufficientCorpusError
+from .errors import ConfigError, CorpusFormatError, InputError, InsufficientCorpusError
 
 if TYPE_CHECKING:
     from .tagset import Tag, TagSet
@@ -83,11 +86,20 @@ class Cohort:
             raise ValueError(f"cohort for {self.token.surface!r} has no candidates")
 
 
-@dataclass
-class CorpusSplit:
-    train: list[AnnotatedSentence]
-    held_out: list[AnnotatedSentence]
-    seed: int
+def read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()  # decoded in one piece, so exc.start is a file offset
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 (byte {exc.start})") from None
+
+
+def write_text(text: str, out: str | TextIO) -> None:
+    if isinstance(out, str):
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
 
 
 def word_count(sentences: Iterable[AnnotatedSentence]) -> int:
@@ -138,8 +150,7 @@ def parse_annotated(text: str, tagset: "TagSet", source: str = "<string>") -> li
 
 
 def read_annotated(path: str, tagset: "TagSet") -> list[AnnotatedSentence]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_annotated(fh.read(), tagset, source=path)
+    return parse_annotated(read_text(path), tagset, source=path)
 
 
 def format_annotated(sentences: Iterable[AnnotatedSentence]) -> str:
@@ -152,12 +163,7 @@ def format_annotated(sentences: Iterable[AnnotatedSentence]) -> str:
 
 
 def write_annotated(sentences: Iterable[AnnotatedSentence], out: str | TextIO) -> None:
-    text = format_annotated(sentences)
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    write_text(format_annotated(sentences), out)
 
 
 def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list[list[Cohort]]:
@@ -192,8 +198,7 @@ def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list
 
 
 def read_cohorts(path: str, tagset: "TagSet") -> list[list[Cohort]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cohorts(fh.read(), tagset, source=path)
+    return parse_cohorts(read_text(path), tagset, source=path)
 
 
 def format_cohorts(sentences: Iterable[list[Cohort]]) -> str:
@@ -208,15 +213,6 @@ def format_cohorts(sentences: Iterable[list[Cohort]]) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def write_cohorts(sentences: Iterable[list[Cohort]], out: str | TextIO) -> None:
-    text = format_cohorts(sentences)
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-
-
 def _take_words(sentences: list[AnnotatedSentence], target: int) -> tuple[list[AnnotatedSentence], list[AnnotatedSentence]]:
     """Shortest prefix holding at least `target` words, plus the rest."""
     if target <= 0:
@@ -229,19 +225,6 @@ def _take_words(sentences: list[AnnotatedSentence], target: int) -> tuple[list[A
     raise InsufficientCorpusError(
         f"needed {target} words, corpus slice holds only {words} (deficit {target - words})"
     )
-
-
-def split_corpus(corpus: list[AnnotatedSentence], held_out_words: int, seed: int) -> CorpusSplit:
-    """Seed-shuffled sentence split: a held-out slice, remainder for training."""
-    total = word_count(corpus)
-    if held_out_words > total:
-        raise InsufficientCorpusError(
-            f"corpus has {total} words, cannot hold out {held_out_words}"
-        )
-    order = list(corpus)
-    random.Random(seed).shuffle(order)
-    held_out, train = _take_words(order, held_out_words)
-    return CorpusSplit(train=train, held_out=held_out, seed=seed)
 
 
 def split_for_learning_curve(

@@ -255,17 +255,6 @@ def apply_threshold(
     return TaggingResult(words=words, mode=mode, threshold=threshold)
 
 
-def tag_with_threshold(
-    lex: LexicalModel,
-    trans: TransitionModel,
-    cohorts: list[Cohort],
-    threshold: float,
-    mode: str = MODE_POSTERIOR,
-) -> TaggingResult:
-    decode = decode_sentence(lex, trans, cohorts, with_viterbi=mode == MODE_VITERBI)
-    return apply_threshold(decode, threshold, mode)
-
-
 def cohorts_for_tokens(lex: LexicalModel, tokens) -> list[Cohort]:
     """Build a sentence lattice from the model's own candidate sets."""
     return [Cohort(tok, lex.candidate_tags(tok.surface)) for tok in tokens]

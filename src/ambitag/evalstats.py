@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, word_count
+from .corpus import AnnotatedSentence, split_for_learning_curve, word_count
 from .decoder import (
     MODE_POSTERIOR,
     MODE_VITERBI,
@@ -190,8 +190,6 @@ def learning_curve(
     k_trans: float = 1.0,
     mode: str = MODE_POSTERIOR,
 ) -> list[tuple[int, float]]:
-    from .corpus import split_for_learning_curve
-
     eval_slice, slices = split_for_learning_curve(corpus, sizes, eval_words, seed)
     points = []
     for train_slice in slices:
@@ -230,6 +228,8 @@ def agreement_critical_rate(n: int, p0: float, alpha: float) -> float:
 
 
 def agreement_test(n: int, p0: float, alpha: float, observed: float | None = None) -> AgreementTest:
+    if observed is not None and not 0.0 <= observed <= 1.0:  # NaN fails too
+        raise InputError(f"observed rate must be in [0, 1], got {observed}")
     return AgreementTest(
         n=n, p0=p0, alpha=alpha,
         critical_rate=agreement_critical_rate(n, p0, alpha),

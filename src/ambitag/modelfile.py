@@ -25,6 +25,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .corpus import read_text, write_text
 from .errors import ConfigError, InputError, ModelFormatError, TagInventoryError
 from .lexicon import LexicalModel, SmoothingConfig
 from .ngram import StateSpace, TransitionModel
@@ -328,14 +329,8 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
 
 
 def save_model(out: str | TextIO, lex: LexicalModel, trans: TransitionModel) -> None:
-    text = dumps_model(lex, trans)
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    write_text(dumps_model(lex, trans), out)
 
 
 def load_model(path: str) -> tuple[LexicalModel, TransitionModel]:
-    with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    return loads_model(read_text(path))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .corpus import Cohort, Token
+from .corpus import Cohort, Token, read_text
 from .errors import ConversionError, RuleError, TagInventoryError
 
 WORD = "word"
@@ -105,8 +105,7 @@ def parse_tagset(text: str, source: str = "<string>") -> TagSet:
 
 
 def load_tagset(path: str) -> TagSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tagset(fh.read(), source=path)
+    return parse_tagset(read_text(path), source=path)
 
 
 def default_tagset() -> TagSet:
@@ -180,8 +179,7 @@ def parse_rules(text: str, tagset: TagSet, source: str = "<string>") -> list[Con
 
 
 def load_rules(path: str, tagset: TagSet) -> list[ConversionRule]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh.read(), tagset, source=path)
+    return parse_rules(read_text(path), tagset, source=path)
 
 
 def default_rules(tagset: TagSet) -> list[ConversionRule]:

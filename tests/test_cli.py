@@ -77,8 +77,7 @@ def test_input_that_is_not_utf8_is_exit_2(ws, capsys, case):
     (ws / "bad").write_bytes(b"dog\t\xff\n")
     capsys.readouterr()
     assert main(NOT_UTF8[case].format(bad=ws / "bad", ws=ws, model=model).split()) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+    assert capsys.readouterr().err == f"error: {ws / 'bad'}: not UTF-8 (byte 4)\n"
 
 
 class TestTrain:
@@ -582,6 +581,14 @@ class TestAgree:
 
     def test_no_inputs_is_exit_2(self, ws):
         assert main(["agree", "--p0", "0.03", "--alpha", "0.05"]) == 2
+
+    @pytest.mark.parametrize("observed", ["-3", "1.5", "nan", "inf"])
+    def test_observed_outside_0_1_is_exit_2(self, ws, capsys, observed):
+        argv = ["agree", "--n", "100", "--p0", "0.1", "--alpha", "0.05", "--observed", observed]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: observed rate must be in [0, 1]") and err.count("\n") == 1
 
 
 class TestConvert:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ambitag
 from ambitag.corpus import (
     AnnotatedSentence,
     Token,
@@ -12,12 +16,12 @@ from ambitag.corpus import (
     format_cohorts,
     parse_annotated,
     parse_cohorts,
-    split_corpus,
+    read_text,
     split_for_learning_curve,
     word_count,
     word_shape,
 )
-from ambitag.errors import CorpusFormatError, InsufficientCorpusError
+from ambitag.errors import CorpusFormatError, InputError, InsufficientCorpusError
 from ambitag.tagset import parse_tagset
 
 
@@ -247,19 +251,63 @@ class TestSplits:
         assert 10 <= word_count(eval_slice) < 10 + 7
         assert 10 <= word_count(slices[0]) < 10 + 7
 
-    def test_split_corpus_exact_partition(self, ts):
+    def test_eval_and_whole_remainder_partition_the_corpus(self, ts):
         corpus = _mk_corpus(ts, 12, 5)
-        split = split_corpus(corpus, 20, seed=1)
-        assert word_count(split.held_out) == 20
-        assert len(split.train) + len(split.held_out) == len(corpus)
-        assert {id(s) for s in split.train} | {id(s) for s in split.held_out} == {
-            id(s) for s in corpus
-        }
+        eval_slice, (train,) = split_for_learning_curve(corpus, [40], 20, seed=1)
+        assert word_count(eval_slice) == 20
+        assert len(train) + len(eval_slice) == len(corpus)
+        assert {id(s) for s in train} | {id(s) for s in eval_slice} == {id(s) for s in corpus}
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_partition_property_random_seeds(self, seed):
-        ts_local = parse_tagset("A\n")
-        corpus = _mk_corpus(ts_local, 8, 3)
-        split = split_corpus(corpus, 9, seed=seed)
-        assert not {id(s) for s in split.train} & {id(s) for s in split.held_out}
-        assert word_count(split.train) + word_count(split.held_out) == 24
+        tag = parse_tagset("A\n").tags[0]
+        corpus = [  # 20 words, sentences of 1-4 words, so a slice may overshoot
+            AnnotatedSentence([Token(f"w{i}_{j}") for j in range(n)], [tag] * n)
+            for i, n in enumerate([1, 2, 3, 4] * 2)
+        ]
+        eval_slice, slices = split_for_learning_curve(corpus, [0, 4, 8], 9, seed=seed)
+        order = list(corpus)
+        random.Random(seed).shuffle(order)
+        ids = lambda sl: [id(s) for s in sl]
+        # the shortest seed-shuffled prefix holding at least 9 words
+        assert ids(eval_slice) == ids(order[: len(eval_slice)])
+        assert word_count(eval_slice) >= 9 > word_count(eval_slice[:-1])
+        for train in slices:
+            assert ids(train) == ids(order[len(eval_slice) : len(eval_slice) + len(train)])
+            assert not set(ids(train)) & set(ids(eval_slice))
+            assert set(ids(train)) <= set(ids(corpus))
+
+
+class TestFileAccess:
+    def test_read_text_names_the_file_and_byte_offset(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("é\r\n".encode() * 5000 + b"\xff\n")  # 4 bytes, 2 characters a line
+        with pytest.raises(InputError) as err:
+            read_text(str(path))
+        assert str(err.value) == f"{path}: not UTF-8 (byte 20000)"
+
+    def test_read_text_reads_utf8_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_bytes("é\r\nb\rc\n".encode())
+        assert read_text(str(path)) == "é\nb\nc\n"
+
+    def test_only_the_two_helpers_open_files(self):
+        # every file access goes through read_text or write_text, so the
+        # encoding and the not-UTF-8 message live in one place
+        callers = set()
+        for path in sorted(Path(ambitag.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = [(tree, "<module>")]
+            while scopes:
+                node, scope = scopes.pop()
+                for child in ast.iter_child_nodes(node):
+                    inner = scope
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        inner = child.name
+                    elif isinstance(child, ast.Call):
+                        func = child.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                        if name == "open":
+                            callers.add(f"{path.name}:{scope}")
+                    scopes.append((child, inner))
+        assert callers == {"corpus.py:read_text", "corpus.py:write_text"}

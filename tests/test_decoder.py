@@ -20,7 +20,6 @@ from ambitag.decoder import (
     forward,
     primary_ids,
     state_posteriors,
-    tag_with_threshold,
     viterbi,
 )
 from ambitag.errors import DeadLatticeError
@@ -295,10 +294,10 @@ class TestRetention:
         with pytest.raises(ValueError):
             apply_threshold(decode, 0.5, "bogus")
 
-    def test_tag_with_threshold_end_to_end(self):
+    def test_decode_then_threshold_end_to_end(self):
         lex, trans = models(seed=12)
         cohorts = cohorts_for_tokens(lex, [Token("wd"), Token(".")])
-        result = tag_with_threshold(lex, trans, cohorts, 0.5)
+        result = apply_threshold(decode_sentence(lex, trans, cohorts, with_viterbi=False), 0.5)
         assert result.threshold == 0.5 and result.mode == MODE_POSTERIOR
         assert result.words[1].retained == [TS.tag("@dot")]
 
@@ -330,19 +329,6 @@ class TestViterbiOnRequest:
             apply_threshold(lean, 0.5, MODE_VITERBI)
         with pytest.raises(ValueError, match="unknown mode"):
             primary_ids(lean, "bogus")
-
-    def test_tag_with_threshold_decodes_what_the_mode_reads(self, monkeypatch):
-        lex, trans = models(seed=17)
-        cohorts = cohorts_for_tokens(lex, [Token("wa"), Token("wb"), Token("wc")])
-        want = decode_sentence(lex, trans, cohorts).viterbi_ids
-        result = tag_with_threshold(lex, trans, cohorts, 1.0, MODE_VITERBI)
-        assert [w.primary.index for w in result.words] == want
-
-        def no_viterbi(lattice):
-            raise AssertionError("viterbi ran")
-
-        monkeypatch.setattr("ambitag.decoder.viterbi", no_viterbi)
-        tag_with_threshold(lex, trans, cohorts, 0.5, MODE_POSTERIOR)
 
     def test_dead_lattice_error_is_the_same_either_way(self):
         lex, trans = TestDeadLattice()._sparse_models()

@@ -356,6 +356,11 @@ class TestAgreement:
             agreement_critical_rate(100, 0.0, 0.05)
         with pytest.raises(InputError):
             agreement_critical_rate(100, 0.03, 1.0)
+        for observed in (-3.0, -1e-12, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="observed rate"):
+                agreement_test(100, 0.03, 0.05, observed)
+        assert agreement_test(100, 0.03, 0.05, 0.0).reject is True
+        assert agreement_test(100, 0.03, 0.05, 1.0).reject is False
 
 
 def _flat_corpus(n_sent, sent_len, tag="N"):

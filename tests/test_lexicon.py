@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
-from ambitag.decoder import cohorts_for_tokens, tag_with_threshold
+from ambitag.decoder import apply_threshold, cohorts_for_tokens, decode_sentence
 from ambitag.errors import ConfigError, InconsistentPriorError, InputError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.modelfile import dumps_model
@@ -304,7 +304,8 @@ class TestCache:
         def tag_all():
             out = []
             for tokens in sentences:
-                result = tag_with_threshold(model, trans, cohorts_for_tokens(model, tokens), 0.1)
+                cohorts = cohorts_for_tokens(model, tokens)
+                result = apply_threshold(decode_sentence(model, trans, cohorts, with_viterbi=False), 0.1)
                 out.append([(w.retained, w.posterior) for w in result.words])
             return out
 
