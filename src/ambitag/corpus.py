@@ -1,7 +1,8 @@
 """Annotated and ambiguous (cohort) corpus I/O, plus reproducible splits.
 
 `read_text` and `write_text` are the package's only file reader and writer,
-both UTF-8; input that is not UTF-8 is named by path and byte offset.
+both UTF-8; a leading byte-order mark is dropped on reading, and input that
+is not UTF-8 is named by path and byte offset.
 
 File conventions: one token per line, TAB between the surface form and its
 tag(s), blank line between sentences, full-line "#" comments.  Annotated
@@ -89,9 +90,11 @@ class Cohort:
 def read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()  # decoded in one piece, so exc.start is a file offset
+            text = fh.read()  # decoded in one piece, so exc.start is a file offset
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 (byte {exc.start})") from None
+    # "utf-8", not "utf-8-sig": that codec counts offsets from after the mark
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def write_text(text: str, out: str | TextIO) -> None:

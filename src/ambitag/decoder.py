@@ -11,22 +11,34 @@ each primary tag from the posteriors and never reads the Viterbi path.
 Retention keeps every tag whose posterior clears the threshold and never
 drops the primary tag.
 
+A lattice is a batch of sentences, longest first, that share the candidate
+set at each position, so every table has a leading sentence axis and the
+sentences still going at position t are a prefix of the batch: one
+transition block and one einsum per step serve the whole batch.  One
+sentence is a batch of one.  `decode_sentences` batches the sentences in
+which every word has one and the same candidate set (every lexicon lattice
+when `support_epsilon` is 0), up to BATCH_CELLS forward-table cells per
+batch; every other sentence is a batch of one.  Each sentence keeps its
+own scaling factors, and every sum runs in the order a batch of one runs
+it, so a batched decode equals the one-at-a-time decode to the last bit.
+
 A lattice gathers each distinct (previous, current, next) candidate-set
-triple's transition block once per sentence; every step with that triple
-shares the same read-only block.  When every tag is a candidate, all
-interior steps share one block, so lattice memory does not grow with
-sentence length.  Viterbi takes the log of each distinct block itself, once
-per call.
+triple's transition block once; every step with that triple shares the
+same read-only block.  When every tag is a candidate, all interior steps
+share one block, so lattice memory does not grow with sentence length.
+Viterbi takes the log of each distinct block itself, once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import Cohort
-from .errors import DeadLatticeError
+from .errors import AmbitagError, DeadLatticeError
 from .lexicon import LexicalModel
 from .ngram import TransitionModel
 from .tagset import Tag
@@ -34,14 +46,42 @@ from .tagset import Tag
 MODE_VITERBI = "viterbi"
 MODE_POSTERIOR = "posterior"
 
+# The forward tables of one batch hold at most this many cells (1 MiB of
+# float64); a sentence that needs more is a batch of its own.
+BATCH_CELLS = 2**17
+
+_index = attrgetter("index")
+
+
+class Column:
+    """One word's lattice column: its candidates in index order, their ids
+    and their relative lexical scores."""
+
+    __slots__ = ("cand", "ids", "aprime")
+
+    def __init__(self, cand: list[Tag], ids: list[int], aprime: np.ndarray):
+        self.cand = cand
+        self.ids = ids
+        self.aprime = aprime
+
+
+def _column(lex: LexicalModel, cohort: Cohort) -> Column:
+    cand = sorted(cohort.candidates, key=_index)
+    aprime = lex.converse_lexical_probs(cohort.token.surface, cand)
+    return Column(cand, list(map(_index, cand)), aprime)
+
 
 @dataclass
 class Lattice:
-    """Per-position candidates, lexical scores, and transition tensors."""
+    """A batch of sentences, longest first, that share each position's
+    candidates: per-position candidates and transition blocks, and each
+    sentence's lexical scores."""
 
-    cohorts: list[Cohort]
-    cand: list[list[Tag]]  # sorted by tag index per position
+    cohorts: list[list[Cohort]]  # per sentence
+    cand: list[list[Tag]]  # per position, sorted by tag index
     ids: list[list[int]]
+    # per position t: (sentences longer than t, 1, |C_t|), the batch's prefix,
+    # shaped to scale the (sentences, |C_t-1|, |C_t|) tables
     aprime: list[np.ndarray]
     init: np.ndarray  # P(c | boundary, boundary) over ids[0]
     # step t->t+1: (|C_t-1|, |C_t|, |C_t+1|), read-only; steps with the same
@@ -49,19 +89,30 @@ class Lattice:
     tensors: list[np.ndarray]
 
 
-def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohort]) -> Lattice:
-    if not cohorts:
+def build_lattice(
+    lex: LexicalModel,
+    trans: TransitionModel,
+    *sentences: list[Cohort],
+    columns: list[list[Column]] | None = None,
+) -> Lattice:
+    """The lattice of sentences given longest first whose words share each
+    position's candidate set; `columns` holds each sentence's word columns
+    when the caller has built them, and they are built from `lex` otherwise."""
+    if not sentences or not all(sentences):
         raise ValueError("empty sentence")
-    cand = [sorted(c.candidates, key=lambda t: t.index) for c in cohorts]
-    ids = [[t.index for t in cs] for cs in cand]
-    aprime = [lex.converse_lexical_probs(c.token.surface, cs) for c, cs in zip(cohorts, cand)]
+    if any(len(a) < len(b) for a, b in zip(sentences, sentences[1:])):
+        raise ValueError("a batch takes its sentences longest first")
+    if columns is None:
+        columns = [[_column(lex, c) for c in cohorts] for cohorts in sentences]
+    cand = [col.cand for col in columns[0]]
+    ids = [col.ids for col in columns[0]]
     b = trans.space.boundary_id
     init = trans.row(b, b).take(ids[0])
     n = trans.space.n_symbols
     pair_rows = trans.probs.reshape(n * n, n)  # row i * n + j is P[i, j, :]
-    keys = [tuple(i) for i in ids]
-    blocks: dict[tuple, np.ndarray] = {}  # lives for this sentence
+    blocks: dict[tuple, np.ndarray] = {}  # lives for this lattice
     tensors: list[np.ndarray] = []
+    keys = [tuple(i) for i in ids]
     for key in zip([(b,)] + keys[:-2], keys, keys[1:]):
         block = blocks.get(key)
         if block is None:
@@ -73,42 +124,74 @@ def build_lattice(lex: LexicalModel, trans: TransitionModel, cohorts: list[Cohor
             block = blocks[key] = pair_rows[pairs[:, :, None], nxt]
             block.setflags(write=False)
         tensors.append(block)
-    return Lattice(cohorts, cand, ids, aprime, init, tensors)
+    for row in columns[1:]:
+        if any(col.ids != want for col, want in zip(row, ids)):
+            raise ValueError("the sentences of a batch must share each position's candidates")
+    aprime = []  # stacked after the gather, which has the larger transient
+    active = len(columns)
+    for t in range(len(ids)):
+        while len(columns[active - 1]) <= t:
+            active -= 1
+        if active == 1:  # a lone sentence's row is viewed, not copied
+            aprime.append(columns[0][t].aprime[None, None])
+        else:
+            aprime.append(np.array([row[t].aprime for row in columns[:active]])[:, None, :])
+    return Lattice(list(sentences), cand, ids, aprime, init, tensors)
 
 
-def _dead_lattice(lattice: Lattice, t: int) -> DeadLatticeError:
-    """The error for a lattice in which no path reaches position t (0-based)."""
+def _dead_lattice(lattice: Lattice, row: int, t: int) -> DeadLatticeError:
+    """The error for a sentence in which no path reaches position t (0-based)."""
     return DeadLatticeError(
         f"dead lattice at position {t + 1} "
-        f"({lattice.cohorts[t].token.surface!r}): no path has nonzero probability"
+        f"({lattice.cohorts[row][t].token.surface!r}): no path has nonzero probability"
     )
 
 
-def forward(lattice: Lattice) -> tuple[list[np.ndarray], list[float]]:
-    """Scaled forward tables (each sums to 1) and the scaling factors."""
+@np.errstate(divide="ignore", invalid="ignore")  # a dead row is raised below
+def forward(lattice: Lattice) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Scaled forward tables, (sentences, |C_t-1|, |C_t|) at position t with
+    each sentence's table summing to 1, and their scaling factors, shaped
+    (sentences, 1, 1)."""
     alphas: list[np.ndarray] = []
-    scales: list[float] = []
-    a = (lattice.init * lattice.aprime[0])[None, :]
-    for t in range(len(lattice.cohorts)):
-        if t > 0:
-            a = np.einsum("ab,abc->bc", alphas[t - 1], lattice.tensors[t - 1])
-            a = a * lattice.aprime[t][None, :]
-        s = float(a.sum())
-        if s <= 0.0:
-            raise _dead_lattice(lattice, t)
+    scales: list[np.ndarray] = []
+    for t, ap in enumerate(lattice.aprime):
+        if t == 0:
+            a = lattice.init * ap
+        else:
+            prev = alphas[t - 1]
+            if len(prev) > len(ap):  # the sentences that ended at t - 1 drop out
+                prev = prev[: len(ap)]
+            a = np.einsum("sab,abc->sbc", prev, lattice.tensors[t - 1]) * ap
+        s = a.sum(axis=(1, 2), keepdims=True)
         alphas.append(a / s)
         scales.append(s)
+    dead = np.concatenate(scales) <= 0.0
+    if dead.any():  # the first position where a sentence died, then its first row
+        first = int(dead.argmax())
+        for t, s in enumerate(scales):
+            if first < len(s):
+                raise _dead_lattice(lattice, first, t)
+            first -= len(s)
     return alphas, scales
 
 
-def backward(lattice: Lattice, scales: list[float]) -> list[np.ndarray]:
-    """Backward tables scaled with the forward run's factors (shared scales)."""
-    T = len(lattice.cohorts)
+def backward(lattice: Lattice, scales: list[np.ndarray]) -> list[np.ndarray]:
+    """Backward tables, shaped like the forward ones and scaled with the
+    forward run's factors (shared scales); a sentence's last table is ones."""
+    T = len(lattice.aprime)
     betas: list[np.ndarray] = [None] * T  # type: ignore[list-item]
-    betas[T - 1] = np.ones((lattice.tensors[-1].shape[1] if T > 1 else 1, len(lattice.ids[T - 1])))
-    for t in range(T - 2, -1, -1):
-        weighted = betas[t + 1] * lattice.aprime[t + 1][None, :]
-        betas[t] = np.einsum("abc,bc->ab", lattice.tensors[t], weighted) / scales[t + 1]
+    going = 0  # sentences longer than t + 1
+    for t in range(T - 1, -1, -1):
+        beta = None
+        if going:
+            weighted = betas[t + 1] * lattice.aprime[t + 1]
+            beta = np.einsum("abc,sbc->sab", lattice.tensors[t], weighted) / scales[t + 1]
+        ending = len(lattice.aprime[t]) - going  # sentences whose last word is at t
+        if ending:
+            ones = np.ones((ending, len(lattice.ids[t - 1]) if t else 1, len(lattice.ids[t])))
+            beta = ones if beta is None else np.concatenate([beta, ones])
+        betas[t] = beta
+        going = len(lattice.aprime[t])
     return betas
 
 
@@ -117,53 +200,69 @@ def state_posteriors(alphas: list[np.ndarray], betas: list[np.ndarray]) -> list[
     return [a * b for a, b in zip(alphas, betas)]
 
 
-def tag_posteriors(lattice: Lattice, gammas: list[np.ndarray]) -> list[dict[int, float]]:
-    out = []
-    for t, g in enumerate(gammas):
-        mass = g.sum(axis=0)
-        out.append({tag_id: float(p) for tag_id, p in zip(lattice.ids[t], mass)})
+def tag_posteriors(lattice: Lattice, gammas: Iterable[np.ndarray]) -> list[list[dict[int, float]]]:
+    """Each sentence's {tag id: posterior} per word, from the state
+    posteriors of each position in turn."""
+    out: list[list[dict[int, float]]] = [[] for _ in lattice.cohorts]
+    for ids, g in zip(lattice.ids, gammas):
+        for posts, mass in zip(out, g.sum(axis=1).tolist()):
+            posts.append(dict(zip(ids, mass)))
     return out
 
 
 @np.errstate(divide="ignore")
-def viterbi(lattice: Lattice) -> tuple[list[int], float]:
-    """Most probable tag-id sequence and its log score.
+def viterbi(lattice: Lattice) -> tuple[list[list[int]], list[float]]:
+    """Each sentence's most probable tag-id sequence and its log score.
 
     Each distinct block is logged once, with the predecessor axis last
     (b, c, a), so the max and argmax over predecessors read contiguous
-    memory and copy nothing.
+    memory and copy nothing.  A step combines at most BATCH_CELLS scores at
+    a time (or one sentence's), so its memory does not grow with the batch.
     """
-    log_ap = [np.log(ap) for ap in lattice.aprime]
+    T = len(lattice.aprime)
     log_blocks: dict[int, np.ndarray] = {}  # id(block) -> its log as (b, c, a)
-    score = (np.log(lattice.init) + log_ap[0])[None, :]  # (a, b)
+    score = np.log(lattice.init) + np.log(lattice.aprime[0])  # (s, a, b)
+    finals: list[np.ndarray] = [None] * len(lattice.cohorts)  # type: ignore[list-item]
     backptr: list[np.ndarray] = []
-    for t in range(1, len(lattice.cohorts)):
-        if not np.isfinite(score.max()):
-            raise _dead_lattice(lattice, t - 1)
+    for t in range(1, T + 1):
+        best = score.max(axis=(1, 2))
+        if not np.isfinite(best).all():
+            raise _dead_lattice(lattice, int(np.argmin(np.isfinite(best))), t - 1)
+        going = len(lattice.aprime[t]) if t < T else 0
+        finals[going : len(score)] = score[going:]  # the sentences that end at t - 1
+        if not going:
+            break
         block = lattice.tensors[t - 1]
         log_block = log_blocks.get(id(block))
         if log_block is None:
             log_block = block.transpose(1, 2, 0).copy()  # C order, writable
             log_blocks[id(block)] = np.log(log_block, out=log_block)
-        combined = log_block + score.T[:, None, :]
         # first max = smallest predecessor; one array per step stays alive,
         # so it is kept in the smallest type that holds a candidate index
-        index_type = np.min_scalar_type(combined.shape[2] - 1)
-        backptr.append(combined.argmax(axis=2).astype(index_type))
-        score = combined.max(axis=2) + log_ap[t][None, :]
-        del combined  # free it before the next step builds its own
-    best_logp = float(score.max())
-    if not np.isfinite(best_logp):
-        raise _dead_lattice(lattice, len(lattice.cohorts) - 1)
-    flat = int(score.argmax())  # row-major first max = smallest state index
-    prev_idx, cur_idx = divmod(flat, score.shape[1])
-    rev = [cur_idx]
-    for t in range(len(lattice.cohorts) - 1, 0, -1):
-        rev.append(prev_idx)
-        if t > 1:
-            prev_idx = int(backptr[t - 1][prev_idx, rev[-2]])
-    rev.reverse()
-    return [lattice.ids[t][j] for t, j in enumerate(rev)], best_logp
+        back = np.empty((going,) + log_block.shape[:2], np.min_scalar_type(log_block.shape[2] - 1))
+        top = np.empty((going,) + log_block.shape[:2])
+        rows = max(1, BATCH_CELLS // log_block.size)
+        for lo in range(0, going, rows):
+            hi = min(lo + rows, going)
+            combined = log_block + score[lo:hi].transpose(0, 2, 1)[:, :, None, :]
+            back[lo:hi] = combined.argmax(axis=3)
+            top[lo:hi] = combined.max(axis=3)
+            del combined  # free it before the next slice builds its own
+        backptr.append(back)
+        score = top + np.log(lattice.aprime[t])
+    paths, logps = [], []
+    for row, (cohorts, final) in enumerate(zip(lattice.cohorts, finals)):
+        flat = int(final.argmax())  # row-major first max = smallest state index
+        prev_idx, cur_idx = divmod(flat, final.shape[1])
+        rev = [cur_idx]
+        for t in range(len(cohorts) - 1, 0, -1):
+            rev.append(prev_idx)
+            if t > 1:
+                prev_idx = int(backptr[t - 1][row, prev_idx, rev[-2]])
+        rev.reverse()
+        paths.append([lattice.ids[t][j] for t, j in enumerate(rev)])
+        logps.append(float(final.max()))
+    return paths, logps
 
 
 @dataclass
@@ -193,6 +292,41 @@ class TaggingResult:
     threshold: float
 
 
+def _decode(lattice: Lattice, with_viterbi: bool) -> list[SentenceDecode]:
+    """Every sentence of a lattice decoded, in batch order."""
+    alphas, scales = forward(lattice)
+    betas = backward(lattice, scales)
+    # state posteriors one position at a time, so a batch holds two tables
+    # (forward and backward), not three
+    posts = tag_posteriors(lattice, map(np.multiply, alphas, betas))
+    del alphas, betas
+    n = len(lattice.cohorts)
+    paths, logps = viterbi(lattice) if with_viterbi else ([None] * n, [None] * n)
+    logs = np.log(np.concatenate(scales)).ravel().tolist()  # position by position
+    starts = [0]
+    for s in scales:
+        starts.append(starts[-1] + len(s))
+    log_likelihood = []
+    for row, cohorts in enumerate(lattice.cohorts):
+        total = 0.0  # summed left to right, one float at a time
+        for start in starts[: len(cohorts)]:
+            total += logs[start + row]
+        log_likelihood.append(total)
+    return [
+        SentenceDecode(
+            cohorts=cohorts,
+            candidates=lattice.cand[: len(cohorts)],
+            posteriors=post,
+            viterbi_ids=path,
+            viterbi_logp=logp,
+            log_likelihood=ll,
+        )
+        for cohorts, post, path, logp, ll in zip(
+            lattice.cohorts, posts, paths, logps, log_likelihood
+        )
+    ]
+
+
 def decode_sentence(
     lex: LexicalModel,
     trans: TransitionModel,
@@ -204,20 +338,91 @@ def decode_sentence(
     A dead lattice raises the same DeadLatticeError either way, since the
     forward pass runs first and fails wherever Viterbi would.
     """
-    lattice = build_lattice(lex, trans, cohorts)
-    alphas, scales = forward(lattice)
-    betas = backward(lattice, scales)
-    gammas = state_posteriors(alphas, betas)
-    posts = tag_posteriors(lattice, gammas)
-    vit_ids, vit_logp = viterbi(lattice) if with_viterbi else (None, None)
-    return SentenceDecode(
-        cohorts=cohorts,
-        candidates=lattice.cand,
-        posteriors=posts,
-        viterbi_ids=vit_ids,
-        viterbi_logp=vit_logp,
-        log_likelihood=float(sum(np.log(s) for s in scales)),
-    )
+    return _decode(build_lattice(lex, trans, cohorts), with_viterbi)[0]
+
+
+def _batches(columns: list[list[Column]]) -> list[list[int]]:
+    """Sentence indices in batches: the sentences whose words all have one
+    and the same candidate set, longest first (ties in order), up to
+    BATCH_CELLS forward-table cells a batch; any other sentence alone."""
+    batches: list[list[int]] = []
+    shared: dict[tuple[int, ...], list[int]] = {}  # candidate ids -> its sentences
+    for i, row in enumerate(columns):
+        ids = row[0].ids
+        if all(col.ids == ids for col in row):
+            shared.setdefault(tuple(ids), []).append(i)
+        else:
+            batches.append([i])
+    for ids, members in shared.items():
+        members.sort(key=lambda i: -len(columns[i]))  # stable
+        batch: list[int] = []
+        cells = 0
+        for i in members:
+            need = len(ids) * (1 + (len(columns[i]) - 1) * len(ids))
+            if batch and cells + need > BATCH_CELLS:
+                batches.append(batch)
+                batch, cells = [], 0
+            batch.append(i)
+            cells += need
+        batches.append(batch)
+    return batches
+
+
+def decode_sentences(
+    lex: LexicalModel,
+    trans: TransitionModel,
+    sentences: list[list[Cohort]],
+    with_viterbi: bool = True,
+) -> list[SentenceDecode]:
+    """`decode_sentence` of each sentence, decoded in batches.
+
+    Sentences in which every word has the same candidate set are batched,
+    longest first, up to BATCH_CELLS forward-table cells per batch; every
+    other sentence is a batch of one.  Cohorts of one surface that share
+    their candidates list share one lattice column, built once.  The first
+    sentence, in order, that fails raises its own error, as decoding them
+    one at a time would.
+    """
+    built: dict[str, tuple[list[Tag], Column]] = {}  # surface -> (its list, its column)
+    columns: list[list[Column]] = []
+    failure: tuple[int, Exception] | None = None
+    for cohorts in sentences:
+        row = []
+        try:
+            if not cohorts:
+                raise ValueError("empty sentence")
+            for c in cohorts:
+                hit = built.get(c.token.surface)
+                if hit is None or hit[0] is not c.candidates:
+                    hit = built[c.token.surface] = (c.candidates, _column(lex, c))
+                row.append(hit[1])
+        except (AmbitagError, ValueError) as exc:
+            failure = (len(columns), exc)  # no later sentence is reached
+            break
+        columns.append(row)
+
+    batches = _batches(columns)
+    out: list[SentenceDecode] = [None] * len(columns)  # type: ignore[list-item]
+    while batches:
+        batch = batches.pop()
+        if failure is not None and min(batch) > failure[0]:
+            continue
+        try:
+            lattice = build_lattice(
+                lex, trans, *[sentences[i] for i in batch], columns=[columns[i] for i in batch]
+            )
+            decodes = _decode(lattice, with_viterbi)
+        except DeadLatticeError as exc:
+            if len(batch) > 1:  # find which sentence died first in order
+                batches += [[i] for i in batch]
+            else:
+                failure = (batch[0], exc)
+            continue
+        for i, decode in zip(batch, decodes):
+            out[i] = decode
+    if failure is not None:
+        raise failure[1]
+    return out
 
 
 def primary_ids(decode: SentenceDecode, mode: str = MODE_POSTERIOR) -> list[int]:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,21 @@ def test_input_that_is_not_utf8_is_exit_2(ws, capsys, case):
     capsys.readouterr()
     assert main(NOT_UTF8[case].format(bad=ws / "bad", ws=ws, model=model).split()) == 2
     assert capsys.readouterr().err == f"error: {ws / 'bad'}: not UTF-8 (byte 4)\n"
+
+
+class TestByteOrderMark:
+    BOM = "\ufeff".encode()
+
+    def test_tagset_with_a_bom_trains(self, ws):
+        (ws / "inventory.tags").write_bytes(self.BOM + TS_TEXT.encode())
+        lex, _ = load_model(train_model(ws))
+        assert [t.symbol for t in lex.tagset] == ["N", "V", "@dot"]
+
+    def test_corpus_with_a_bom_starts_with_its_first_surface(self, ws):
+        (ws / "train.txt").write_bytes(self.BOM + TRAIN_TEXT.encode())
+        lex, _ = load_model(train_model(ws))
+        assert "dog" in lex.surfaces
+        assert not any(s.startswith("\ufeff") for s in lex.surfaces)
 
 
 class TestTrain:
@@ -389,6 +405,51 @@ class TestViterbiMode:
             path = [c.candidates[0].index for c in got]
             assert path == best
             assert path_weight(trans, ap, path) == pytest.approx(best_w, rel=1e-12)
+
+
+DEAD = "dead lattice at position 2 ('q'): no path has nonzero probability"
+INCONSISTENT = "inconsistent prior: tag V has zero prior but P(V | 'Zz') = 0.25"
+
+
+class TestBatchedErrorsKeepCorpusOrder:
+    """eval and sweep decode in batches, yet fail on the first failing
+    sentence in corpus order, as a sentence-by-sentence decode does."""
+
+    def _model(self, ws) -> str:
+        (ws / "sparse.txt").write_text("aa\tN\n", encoding="utf-8")
+        model = ws / "sparse-model.txt"
+        assert main(
+            ["train", str(ws / "sparse.txt"), "--tagset", str(ws / "inventory.tags"),
+             "--model", str(model), "--k-lex", "0", "--k-trans", "0", "--class-mix", "0"]
+        ) == 0  # P(N | <s>, N) = 0: every sentence dies at its second word
+        # and a capitalized unknown word gets mass on V, whose prior is 0
+        text = model.read_text(encoding="utf-8")
+        text = text.replace("class capitalized 1\nN 1.0", "class capitalized 2\nN 0.5\nV 0.5")
+        model.write_text(text.replace("class-mix 0.0", "class-mix 0.5"), encoding="utf-8")
+        return str(model)
+
+    @pytest.mark.parametrize("mode", ["posterior", "viterbi"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "sentences, error",
+        [
+            (["ok", "p q", "r s t"], DEAD),  # "r s t" comes first in its batch
+            (["p q", "Zz"], DEAD),
+            (["Zz", "p q"], INCONSISTENT),
+        ],
+    )
+    def test_first_failing_sentence_raises(self, ws, capsys, mode, command, sentences, error):
+        model = self._model(ws)
+        gold = ws / "gold.txt"
+        gold.write_text(
+            "\n".join("".join(f"{w}\tN\n" for w in s.split()) for s in sentences),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(gold), "--model", model, "--mode", mode]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestViterbiOnlyWhenAsked:

@@ -286,6 +286,18 @@ class TestFileAccess:
             read_text(str(path))
         assert str(err.value) == f"{path}: not UTF-8 (byte 20000)"
 
+    def test_read_text_counts_a_bom_in_the_byte_offset(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("\ufeff".encode() + b"do\xff\n")  # 0xff is byte 5 of the file
+        with pytest.raises(InputError) as err:
+            read_text(str(path))
+        assert str(err.value) == f"{path}: not UTF-8 (byte 5)"
+
+    def test_read_text_drops_one_leading_bom(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_bytes("\ufeff\ufeffa\n".encode())
+        assert read_text(str(path)) == "\ufeffa\n"
+
     def test_read_text_reads_utf8_with_universal_newlines(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_bytes("é\r\nb\rc\n".encode())

@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambitag import decoder
 from ambitag.corpus import AnnotatedSentence, Cohort, Token
 from ambitag.decoder import (
     MODE_POSTERIOR,
@@ -17,12 +20,14 @@ from ambitag.decoder import (
     build_lattice,
     cohorts_for_tokens,
     decode_sentence,
+    decode_sentences,
     forward,
     primary_ids,
     state_posteriors,
     viterbi,
 )
-from ambitag.errors import DeadLatticeError
+from ambitag.errors import DeadLatticeError, InconsistentPriorError
+from ambitag.evalstats import decode_corpus
 from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
@@ -88,8 +93,8 @@ class TestAgainstEnumeration:
         lex, trans = models(seed)
         self._check(lex, trans, random_cohorts(random.Random(2000 + seed), lex))
 
-    def _check(self, lex, trans, cohorts):
-        decode = decode_sentence(lex, trans, cohorts)
+    def _check(self, lex, trans, cohorts, decode=None):
+        decode = decode if decode is not None else decode_sentence(lex, trans, cohorts)
         ap = aprime_dicts(lex, cohorts, [[t.index for t in cs] for cs in decode.candidates])
         total, post, _, best_w = brute_force_decode(trans, ap, [list(d) for d in ap])
         assert decode.log_likelihood == pytest.approx(math.log(total), rel=1e-9)
@@ -99,6 +104,8 @@ class TestAgainstEnumeration:
             for i, p in want.items():
                 assert got[i] == pytest.approx(p, rel=1e-9, abs=1e-12)
             assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
+        if decode.viterbi_ids is None:
+            return
         w = path_weight(trans, ap, decode.viterbi_ids)
         assert w >= (1.0 - 1e-9) * best_w
         assert math.exp(decode.viterbi_logp) == pytest.approx(w, rel=1e-9)
@@ -140,7 +147,8 @@ class TestInvariances:
         _, scales = forward(lattice)
         betas = backward(lattice, scales)
         assert np.array_equal(betas[-1], np.ones_like(betas[-1]))
-        assert betas[-1].shape[1] == len(lattice.ids[-1])
+        prev = len(lattice.ids[-2]) if len(cohorts) > 1 else 1
+        assert betas[-1].shape == (1, prev, len(lattice.ids[-1]))
 
     def test_posterior_tables_normalized(self):
         lex, trans = models(seed=6)
@@ -352,8 +360,8 @@ class TestViterbiOnRequest:
         lattice = build_lattice(lex, trans, cohorts)
         assert lattice.tensors[1] is lattice.tensors[2]
         assert lattice.tensors[5] is lattice.tensors[6]
-        path, logp = viterbi(lattice)
-        ap = [dict(zip(ids, ap)) for ids, ap in zip(lattice.ids, lattice.aprime)]
+        [path], [logp] = viterbi(lattice)
+        ap = [dict(zip(ids, ap.ravel())) for ids, ap in zip(lattice.ids, lattice.aprime)]
         _, _, best, best_w = brute_force_decode(trans, ap, lattice.ids)
         assert path == best
         assert math.exp(logp) == pytest.approx(best_w, rel=1e-9)
@@ -439,3 +447,170 @@ class TestLatticeBlocks:
         assert peak < 4 * block_bytes
         # 39 one-byte backpointer arrays of 30 x 30; as intp they took 280,800 B
         assert peak < 3 * block_bytes
+
+
+def assert_same_decode(got, want):
+    """Equal to the last bit: posteriors, likelihood and Viterbi path."""
+    assert got.cohorts == want.cohorts
+    assert got.candidates == want.candidates
+    assert got.posteriors == want.posteriors
+    assert got.log_likelihood == want.log_likelihood
+    assert got.viterbi_ids == want.viterbi_ids
+    assert got.viterbi_logp == want.viterbi_logp
+
+
+# Word-only sentences have every word tag as each word's candidates (one
+# batch per length run); a "." has only @dot, so its sentence decodes alone.
+SENTENCES = st.lists(
+    st.lists(st.sampled_from(VOCAB + ["."] * 2), min_size=1, max_size=30),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBatchedDecode:
+    @given(
+        st.integers(0, 3),
+        SENTENCES,
+        st.booleans(),
+        st.sampled_from([1, 40, 200, 600, decoder.BATCH_CELLS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_decode_equals_one_sentence_at_a_time(self, seed, surfaces, with_viterbi, cap):
+        lex, trans = models(seed)
+        corpus = [
+            AnnotatedSentence([Token(w) for w in sent], [TS.tag("A")] * len(sent))
+            for sent in surfaces
+        ]
+        with mock.patch.object(decoder, "BATCH_CELLS", cap):
+            batched = decode_corpus(lex, trans, corpus, with_viterbi)
+        assert len(batched) == len(corpus)
+        for sent, got in zip(corpus, batched):
+            cohorts = cohorts_for_tokens(lex, sent.tokens)
+            assert_same_decode(got, decode_sentence(lex, trans, cohorts, with_viterbi))
+            if len(cohorts) <= 5:
+                TestAgainstEnumeration()._check(lex, trans, cohorts, got)
+
+    @given(st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_cohorts_equal_one_sentence_at_a_time(self, seed, draw_seed, with_viterbi, cap):
+        lex, trans = models(seed)
+        rng = random.Random(draw_seed)
+        word_tags = list(TS.word_tags())
+        narrow = [rng.sample(word_tags, rng.randint(1, 4)) for _ in range(3)]
+        sentences = []
+        for _ in range(rng.randint(1, 10)):
+            sets = [rng.choice(narrow + [word_tags])] * 3 + narrow  # mostly one set per sentence
+            shared = rng.random() < 0.7
+            first = rng.choice(sets)
+            sentences.append([
+                Cohort(Token(rng.choice(VOCAB)), first if shared else rng.choice(sets))
+                for _ in range(rng.randint(1, 12))
+            ])
+        with mock.patch.object(decoder, "BATCH_CELLS", cap):
+            batched = decode_sentences(lex, trans, sentences, with_viterbi)
+        for cohorts, got in zip(sentences, batched, strict=True):
+            assert_same_decode(got, decode_sentence(lex, trans, cohorts, with_viterbi))
+
+    def test_one_forward_call_per_batch(self, monkeypatch):
+        hmm = build_synthetic_hmm(n_tags=10, vocab=200, seed=1)
+        lex = LexicalModel.train(sample_corpus(hmm, 3000, seed=2), hmm.tagset)
+        trans = TransitionModel.train(sample_corpus(hmm, 3000, seed=2), hmm.tagset)
+        corpus = sample_corpus(hmm, 5000, seed=3)[:150]
+        assert len(corpus) == 150
+        batch_sizes = []
+        real_forward = decoder.forward
+
+        def spy(lattice):
+            batch_sizes.append(len(lattice.cohorts))
+            return real_forward(lattice)
+
+        monkeypatch.setattr(decoder, "forward", spy)
+        decode_corpus(lex, trans, corpus, with_viterbi=False)
+        cells = sum(10 + (len(s) - 1) * 100 for s in corpus)
+        assert sum(batch_sizes) == 150  # every sentence in one call
+        assert len(batch_sizes) <= -(-cells // decoder.BATCH_CELLS) + 1
+        batch_sizes.clear()
+        punctuated = random_corpus(seed=4, n_sentences=40)
+        sparse = [s for s in punctuated if s.tokens[-1].surface == "."]
+        lex, trans = models(seed=4)
+        decode_corpus(lex, trans, sparse, with_viterbi=False)
+        assert batch_sizes == [1] * len(sparse)
+
+    def test_forward_tables_do_not_grow_with_the_corpus(self):
+        hmm = build_synthetic_hmm(n_tags=10, vocab=200, seed=1)
+        train = sample_corpus(hmm, 3000, seed=2)
+        lex = LexicalModel.train(train, hmm.tagset)
+        trans = TransitionModel.train(train, hmm.tagset)
+        corpus = sample_corpus(hmm, 30000, seed=5)[:800]
+        assert len(corpus) == 800
+        decode_corpus(lex, trans, corpus, with_viterbi=False)  # fills the lexicon cache
+        transient = []
+        for size in (200, 800):
+            tracemalloc.start()
+            try:
+                decodes = decode_corpus(lex, trans, corpus[:size], with_viterbi=False)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del decodes
+            transient.append(peak - current)  # the decodes themselves are kept
+        assert transient[1] <= transient[0] + 512 * 1024
+
+
+class TestBatchErrors:
+    """The first sentence, in order, that fails raises, as one at a time."""
+
+    def _dead_after_one_word(self):
+        corpus = [AnnotatedSentence([Token("aa")], [TS.tag("A")])]
+        lex = LexicalModel.train(corpus, TS, SmoothingConfig(k=0.0, class_mix=0.0))
+        trans = TransitionModel.train(corpus, TS, k=0.0)  # P(A | <s>, A) = 0
+        return lex, trans
+
+    @staticmethod
+    def gold(*sentences):
+        return [
+            AnnotatedSentence([Token(w) for w in s.split()], [TS.tag("A")] * len(s.split()))
+            for s in sentences
+        ]
+
+    def test_the_earlier_sentence_raises_though_the_longer_dies_first_in_its_batch(self):
+        lex, trans = self._dead_after_one_word()
+        corpus = self.gold("ok", "pp qq", "rr ss tt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for with_viterbi in (False, True):
+                with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 2 \('qq'\)"):
+                    decode_corpus(lex, trans, corpus, with_viterbi)
+
+    def test_the_earlier_sentence_raises_though_a_later_one_dies_sooner(self):
+        # lexicon scores decide where each sentence dies: "bb" has no mass on A
+        corpus = [
+            AnnotatedSentence([Token("aa")], [TS.tag("A")]),
+            AnnotatedSentence([Token("bb")], [TS.tag("B")]),
+        ]
+        lex = LexicalModel.train(corpus, TS, SmoothingConfig(k=0.0, class_mix=0.0))
+        trans = TransitionModel.train(corpus, TS)
+        a = [TS.tag("A")]
+        sentences = [
+            [Cohort(Token(w), a) for w in ("aa", "aa")],
+            [Cohort(Token(w), a) for w in ("aa", "aa", "bb")],
+            [Cohort(Token(w), a) for w in ("aa", "bb", "aa", "aa")],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 3 \('bb'\)"):
+                decode_sentences(lex, trans, sentences)
+            with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 2 \('bb'\)"):
+                decode_sentences(lex, trans, sentences[:1] + sentences[2:])
+        assert decode_sentences(lex, trans, sentences[:1])[0].posteriors == [{0: 1.0}] * 2
+
+    def test_a_dead_sentence_before_an_inconsistent_prior_raises(self):
+        lex, trans = self._dead_after_one_word()
+        lex._dist_cache["zz"] = np.array([0.5, 0.5, 0.0, 0.0, 0.0])  # B has zero prior
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeadLatticeError, match=r"position 2 \('qq'\)"):
+                decode_corpus(lex, trans, self.gold("ok", "pp qq", "zz"))
+            with pytest.raises(InconsistentPriorError, match="'zz'"):
+                decode_corpus(lex, trans, self.gold("ok", "zz", "pp qq"))
