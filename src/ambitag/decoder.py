@@ -32,13 +32,12 @@ Viterbi takes the log of each distinct block itself, once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import Cohort
-from .errors import AmbitagError, DeadLatticeError
+from .errors import DeadLatticeError
 from .lexicon import LexicalModel
 from .ngram import TransitionModel
 from .tagset import Tag
@@ -50,36 +49,26 @@ MODE_POSTERIOR = "posterior"
 # float64); a sentence that needs more is a batch of its own.
 BATCH_CELLS = 2**17
 
-_index = attrgetter("index")
-
 
 class Column:
-    """One word's lattice column: its candidates in index order, their ids
+    """One word's lattice column: its candidate tag ids in ascending order
     and their relative lexical scores."""
 
-    __slots__ = ("cand", "ids", "aprime")
+    __slots__ = ("ids", "aprime")
 
-    def __init__(self, cand: list[Tag], ids: list[int], aprime: np.ndarray):
-        self.cand = cand
-        self.ids = ids
-        self.aprime = aprime
-
-
-def _column(lex: LexicalModel, cohort: Cohort) -> Column:
-    cand = sorted(cohort.candidates, key=_index)
-    aprime = lex.converse_lexical_probs(cohort.token.surface, cand)
-    return Column(cand, list(map(_index, cand)), aprime)
+    def __init__(self, lex: LexicalModel, cohort: Cohort):
+        self.ids = sorted(t.index for t in cohort.candidates)
+        self.aprime = lex.converse_lexical_probs(cohort.token.surface, self.ids)
 
 
 @dataclass
 class Lattice:
     """A batch of sentences, longest first, that share each position's
-    candidates: per-position candidates and transition blocks, and each
+    candidates: per-position candidate ids and transition blocks, and each
     sentence's lexical scores."""
 
     cohorts: list[list[Cohort]]  # per sentence
-    cand: list[list[Tag]]  # per position, sorted by tag index
-    ids: list[list[int]]
+    ids: list[list[int]]  # per position, ascending
     # per position t: (sentences longer than t, 1, |C_t|), the batch's prefix,
     # shaped to scale the (sentences, |C_t-1|, |C_t|) tables
     aprime: list[np.ndarray]
@@ -103,8 +92,7 @@ def build_lattice(
     if any(len(a) < len(b) for a, b in zip(sentences, sentences[1:])):
         raise ValueError("a batch takes its sentences longest first")
     if columns is None:
-        columns = [[_column(lex, c) for c in cohorts] for cohorts in sentences]
-    cand = [col.cand for col in columns[0]]
+        columns = [[Column(lex, c) for c in cohorts] for cohorts in sentences]
     ids = [col.ids for col in columns[0]]
     b = trans.space.boundary_id
     init = trans.row(b, b).take(ids[0])
@@ -136,7 +124,7 @@ def build_lattice(
             aprime.append(columns[0][t].aprime[None, None])
         else:
             aprime.append(np.array([row[t].aprime for row in columns[:active]])[:, None, :])
-    return Lattice(list(sentences), cand, ids, aprime, init, tensors)
+    return Lattice(list(sentences), ids, aprime, init, tensors)
 
 
 def _dead_lattice(lattice: Lattice, row: int, t: int) -> DeadLatticeError:
@@ -271,8 +259,7 @@ class SentenceDecode:
     path when the decode was asked for it (None otherwise)."""
 
     cohorts: list[Cohort]
-    candidates: list[list[Tag]]
-    posteriors: list[dict[int, float]]
+    posteriors: list[dict[int, float]]  # per word, {tag id: posterior} by ascending id
     viterbi_ids: list[int] | None
     viterbi_logp: float | None
     log_likelihood: float  # log of the total relative-score path mass
@@ -315,7 +302,6 @@ def _decode(lattice: Lattice, with_viterbi: bool) -> list[SentenceDecode]:
     return [
         SentenceDecode(
             cohorts=cohorts,
-            candidates=lattice.cand[: len(cohorts)],
             posteriors=post,
             viterbi_ids=path,
             viterbi_logp=logp,
@@ -387,18 +373,15 @@ def decode_sentences(
     columns: list[list[Column]] = []
     failure: tuple[int, Exception] | None = None
     for cohorts in sentences:
-        row = []
-        try:
-            if not cohorts:
-                raise ValueError("empty sentence")
-            for c in cohorts:
-                hit = built.get(c.token.surface)
-                if hit is None or hit[0] is not c.candidates:
-                    hit = built[c.token.surface] = (c.candidates, _column(lex, c))
-                row.append(hit[1])
-        except (AmbitagError, ValueError) as exc:
-            failure = (len(columns), exc)  # no later sentence is reached
+        if not cohorts:
+            failure = (len(columns), ValueError("empty sentence"))  # no later one is reached
             break
+        row = []
+        for c in cohorts:
+            hit = built.get(c.token.surface)
+            if hit is None or hit[0] is not c.candidates:
+                hit = built[c.token.surface] = (c.candidates, Column(lex, c))
+            row.append(hit[1])
         columns.append(row)
 
     batches = _batches(columns)
@@ -427,13 +410,14 @@ def decode_sentences(
 
 def primary_ids(decode: SentenceDecode, mode: str = MODE_POSTERIOR) -> list[int]:
     """Each word's primary tag id, which retention never drops: the Viterbi
-    tag, or the posterior argmax with ties going to the smaller tag id."""
+    tag, or the posterior argmax with ties going to the smaller tag id (the
+    first maximum, since each word's posteriors ascend by tag id)."""
     if mode == MODE_VITERBI:
         if decode.viterbi_ids is None:
             raise ValueError("decode has no Viterbi path: decode with with_viterbi=True")
         return decode.viterbi_ids
     if mode == MODE_POSTERIOR:
-        return [max(post, key=lambda i: (post[i], -i)) for post in decode.posteriors]
+        return [max(post, key=post.__getitem__) for post in decode.posteriors]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -443,10 +427,10 @@ def apply_threshold(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     words = []
-    for cands, post, primary_id in zip(
-        decode.candidates, decode.posteriors, primary_ids(decode, mode)
+    for cohort, post, primary_id in zip(
+        decode.cohorts, decode.posteriors, primary_ids(decode, mode)
     ):
-        by_index = {tag.index: tag for tag in cands}
+        by_index = {tag.index: tag for tag in cohort.candidates}
         keep = {i for i in post if post[i] >= threshold}
         keep.add(primary_id)
         order = sorted(keep, key=lambda i: (-post[i], i))
@@ -461,5 +445,5 @@ def apply_threshold(
 
 
 def cohorts_for_tokens(lex: LexicalModel, tokens) -> list[Cohort]:
-    """Build a sentence lattice from the model's own candidate sets."""
+    """One cohort per token, each holding the model's own candidate tags."""
     return [Cohort(tok, lex.candidate_tags(tok.surface)) for tok in tokens]

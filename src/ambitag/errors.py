@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 InputError and its subclasses mark problems with user-supplied data
-(files, flags, tag symbols); the CLI maps them to exit code 2.
-Everything else under AmbitagError is a runtime failure (exit code 1).
+(files, flags, tag symbols, a model file whose priors do not cover its
+counts); the CLI maps them to exit code 2.  The one runtime failure is
+DeadLatticeError, a sentence with no path of nonzero probability (exit
+code 1).
 """
 
 
@@ -40,10 +42,6 @@ class ConfigError(InputError):
 
 class InsufficientCorpusError(InputError):
     pass
-
-
-class InconsistentPriorError(AmbitagError):
-    """A tag has zero prior probability but nonzero conditional probability."""
 
 
 class DeadLatticeError(AmbitagError):

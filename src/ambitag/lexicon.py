@@ -32,7 +32,7 @@ from .corpus import (
     AnnotatedSentence,
     word_shape,
 )
-from .errors import ConfigError, InconsistentPriorError, InputError, TagInventoryError
+from .errors import ConfigError, InputError, TagInventoryError
 from .tagset import Tag, TagSet
 
 _surface = attrgetter("surface")
@@ -79,6 +79,10 @@ def _anchor(priors: np.ndarray, word_ids: list[int]) -> np.ndarray:
     return anchor
 
 
+def _zero_prior(tagset: TagSet, t: int, source: str) -> InputError:
+    return InputError(f"tag {tagset.by_index(t).symbol} has zero prior but {source}")
+
+
 class LexicalModel:
     def __init__(
         self,
@@ -93,15 +97,30 @@ class LexicalModel:
         """`surfaces` maps each word surface to its {tag id: count}, and the
         suffix table indexes it.  `priors` and `punct_priors` are each tag
         family's priors.  As in a model file, each surface needs counts, each
-        a positive integer below 2^63, and no word surface may be empty."""
+        a positive integer below 2^63, and no word surface may be empty.  A
+        tag with zero prior in its own family may have no count and no
+        class-distribution mass, so every lookup's P(tag | word) / P(tag) is
+        defined."""
         if "" in surfaces:
             raise InputError("a word surface cannot be empty")
-        for surface, counts in chain(surfaces.items(), punct_table.items()):
-            if not counts or min(counts.values()) < 1 or max(counts.values()) >= 2**63:
-                raise InputError(
-                    f"surface {surface!r} needs counts, each a positive integer below 2^63"
-                )
         word_ids = _word_tag_ids(tagset)
+        tag_priors = punct_priors.copy()  # each tag's prior from its own family
+        tag_priors[word_ids] = priors[word_ids]
+        zero = tag_priors == 0.0
+        unset = set(np.flatnonzero(zero).tolist())
+        for rows, source in ((surfaces, "word surface"), (punct_table, "punct-table surface")):
+            for surface, counts in rows.items():
+                if not counts or min(counts.values()) < 1 or max(counts.values()) >= 2**63:
+                    raise InputError(
+                        f"surface {surface!r} needs counts, each a positive integer below 2^63"
+                    )
+                if not unset.isdisjoint(counts):
+                    t = min(unset.intersection(counts))
+                    raise _zero_prior(tagset, t, f"{source} {surface!r} counts it")
+        for name, dist in class_dists.items():
+            bad = np.flatnonzero(zero & (dist > 0.0))
+            if bad.size:
+                raise _zero_prior(tagset, int(bad[0]), f"class {name} gives it mass")
         self.tagset = tagset
         self.config = config
         self.priors = priors
@@ -122,8 +141,8 @@ class LexicalModel:
                         into[t] = into.get(t, 0) + c
         self._suffix_counts = table
         self._width = Counter(suffix[1:] for suffix in table if suffix)
-        self._tag_priors = punct_priors.copy()  # each tag's prior from its own family
-        self._tag_priors[word_ids] = priors[word_ids]
+        # a zero prior divides zero mass: the score is 0
+        self._divisor = np.where(zero, 1.0, tag_priors)
         self._anchor = _anchor(priors, word_ids)
         # Only the model's own surfaces are cached, so the cache stays bounded.
         self._dist_cache: dict[str, np.ndarray] = {}
@@ -273,23 +292,10 @@ class LexicalModel:
             return self.class_dists[shape]
         return self.class_dists["infrequent"]
 
-    def converse_lexical_probs(self, surface: str, tags: list[Tag]) -> np.ndarray:
-        """P(tag | surface) / P(tag) for each tag, the prior taken from the
-        tag's own family; 0 for a tag with zero prior and zero mass."""
-        ids = [t.index for t in tags]
-        cond = self._dist_vector(surface)[ids]
-        prior = self._tag_priors[ids]
-        zero = prior == 0.0
-        if zero.any():
-            bad = np.flatnonzero(zero & (cond > 0.0))
-            if bad.size:
-                j = bad[0]
-                raise InconsistentPriorError(
-                    f"inconsistent prior: tag {tags[j].symbol} has zero prior "
-                    f"but P({tags[j].symbol} | {surface!r}) = {cond[j]}"
-                )
-            prior = np.where(zero, 1.0, prior)  # cond is 0 there: scores 0
-        return cond / prior
+    def converse_lexical_probs(self, surface: str, ids: list[int]) -> np.ndarray:
+        """P(tag | surface) / P(tag) for each tag id, the prior taken from the
+        tag's own family; 0 for a tag with zero prior, which has zero mass."""
+        return self._dist_vector(surface)[ids] / self._divisor[ids]
 
     def candidate_tags(self, surface: str) -> list[Tag]:
         """Tags with blended mass above support_epsilon, most probable first.

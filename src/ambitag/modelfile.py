@@ -14,8 +14,10 @@ surfaces, punct-table surfaces and tags on one line all sum.  A trie line
 with neither counts nor children, or a punct-table line with no counts, is
 rejected.  Every count is a positive integer below 2^63, and so is the sum
 of the trigram counts, merged as int64, and each tag's count merged within
-a trie or punct-table surface.  Punct-table surfaces are written unescaped,
-so one holding a tab or a line break cannot be saved.
+a trie or punct-table surface.  A tag whose prior in its own family is 0
+may have no trie or punct-table count and no mass in a class
+distribution, or the model is rejected.  Punct-table surfaces are written
+unescaped, so one holding a tab or a line break cannot be saved.
 """
 
 from __future__ import annotations

@@ -106,9 +106,9 @@ def test_c4_decoder_matches_enumeration():
             for _ in range(rng.randint(1, 6))
         ]
         dec = decode_sentence(lex, trans, cohorts)
-        ids = [[t.index for t in cs] for cs in dec.candidates]
+        ids = [sorted(t.index for t in c.candidates) for c in cohorts]
         ap = [
-            {j: lex.converse_lexical_probs(c.token.surface, [ts.by_index(j)])[0] for j in pos}
+            {j: lex.converse_lexical_probs(c.token.surface, [j])[0] for j in pos}
             for c, pos in zip(cohorts, ids)
         ]
         total, post, _, best_w = brute_force_decode(trans, ap, ids)

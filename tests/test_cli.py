@@ -394,10 +394,7 @@ class TestViterbiMode:
         for sent, got in zip(inputs, tagged):
             ids = [sorted(t.index for t in c.candidates) for c in sent]
             ap = [
-                {
-                    i: lex.converse_lexical_probs(c.token.surface, [lex.tagset.by_index(i)])[0]
-                    for i in pos
-                }
+                {i: lex.converse_lexical_probs(c.token.surface, [i])[0] for i in pos}
                 for c, pos in zip(sent, ids)
             ]
             _, _, best, best_w = brute_force_decode(trans, ap, ids)
@@ -408,25 +405,28 @@ class TestViterbiMode:
 
 
 DEAD = "dead lattice at position 2 ('q'): no path has nonzero probability"
-INCONSISTENT = "inconsistent prior: tag V has zero prior but P(V | 'Zz') = 0.25"
 
 
 class TestBatchedErrorsKeepCorpusOrder:
     """eval and sweep decode in batches, yet fail on the first failing
     sentence in corpus order, as a sentence-by-sentence decode does."""
 
-    def _model(self, ws) -> str:
+    def _model(self, ws) -> Path:
         (ws / "sparse.txt").write_text("aa\tN\n", encoding="utf-8")
         model = ws / "sparse-model.txt"
         assert main(
             ["train", str(ws / "sparse.txt"), "--tagset", str(ws / "inventory.tags"),
              "--model", str(model), "--k-lex", "0", "--k-trans", "0", "--class-mix", "0"]
         ) == 0  # P(N | <s>, N) = 0: every sentence dies at its second word
-        # and a capitalized unknown word gets mass on V, whose prior is 0
-        text = model.read_text(encoding="utf-8")
-        text = text.replace("class capitalized 1\nN 1.0", "class capitalized 2\nN 0.5\nV 0.5")
-        model.write_text(text.replace("class-mix 0.0", "class-mix 0.5"), encoding="utf-8")
-        return str(model)
+        return model
+
+    def _gold(self, ws, sentences) -> str:
+        gold = ws / "gold.txt"
+        gold.write_text(
+            "\n".join("".join(f"{w}\tN\n" for w in s.split()) for s in sentences),
+            encoding="utf-8",
+        )
+        return str(gold)
 
     @pytest.mark.parametrize("mode", ["posterior", "viterbi"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
@@ -435,21 +435,30 @@ class TestBatchedErrorsKeepCorpusOrder:
         [
             (["ok", "p q", "r s t"], DEAD),  # "r s t" comes first in its batch
             (["p q", "Zz"], DEAD),
-            (["Zz", "p q"], INCONSISTENT),
         ],
     )
     def test_first_failing_sentence_raises(self, ws, capsys, mode, command, sentences, error):
-        model = self._model(ws)
-        gold = ws / "gold.txt"
-        gold.write_text(
-            "\n".join("".join(f"{w}\tN\n" for w in s.split()) for s in sentences),
-            encoding="utf-8",
-        )
+        model = str(self._model(ws))
+        gold = self._gold(ws, sentences)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, str(gold), "--model", model, "--mode", mode]) == 1
+            assert main([command, gold, "--model", model, "--mode", mode]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "tag"])
+    def test_a_tag_with_mass_but_zero_prior_fails_at_load(self, ws, capsys, command):
+        model = self._model(ws)
+        # a capitalized unknown word gets mass on V, whose prior is 0
+        text = model.read_text(encoding="utf-8")
+        text = text.replace("class capitalized 1\nN 1.0", "class capitalized 2\nN 0.5\nV 0.5")
+        model.write_text(text.replace("class-mix 0.0", "class-mix 0.5"), encoding="utf-8")
+        source = str(ws / "input.cohorts") if command == "tag" else self._gold(ws, ["Zz", "p q"])
+        capsys.readouterr()
+        assert main([command, source, "--model", str(model)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tag V has zero prior but class capitalized gives it mass\n"
 
 
 class TestViterbiOnlyWhenAsked:

@@ -323,3 +323,18 @@ class TestFileAccess:
                             callers.add(f"{path.name}:{scope}")
                     scopes.append((child, inner))
         assert callers == {"corpus.py:read_text", "corpus.py:write_text"}
+
+    def test_every_error_class_is_raised_or_subclassed(self):
+        # an error type that nothing raises is a dead branch in every caller
+        # that catches it; a helper may build the error that its caller raises
+        package = Path(ambitag.__file__).parent
+        errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+        defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+        used = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    used.update(base.id for base in node.bases if isinstance(base, ast.Name))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    used.add(node.func.id)
+        assert defined and defined <= used, sorted(defined - used)

@@ -181,7 +181,7 @@ def _synthetic_sentence(draw):
         posts.append({i: draw(value) for i in ids})
         vit.append(draw(st.sampled_from(ids)))
     cohorts = [Cohort(tok, cs) for tok, cs in zip(tokens, cands)]
-    return AnnotatedSentence(tokens, gold), SentenceDecode(cohorts, cands, posts, vit, 0.0, 0.0)
+    return AnnotatedSentence(tokens, gold), SentenceDecode(cohorts, posts, vit, 0.0, 0.0)
 
 
 class TestVectorisedScoring:

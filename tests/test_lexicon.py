@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import apply_threshold, cohorts_for_tokens, decode_sentence
-from ambitag.errors import ConfigError, InconsistentPriorError, InputError, TagInventoryError
+from ambitag.errors import ConfigError, InputError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.modelfile import dumps_model
 from ambitag.ngram import TransitionModel
@@ -61,9 +62,9 @@ class TestBlendByHand:
 
     def test_converse_score(self):
         model = hand_model()
-        b = TS2.tag("B")
+        b = TS2.tag("B").index
         assert model.converse_lexical_probs("xs", [b])[0] == pytest.approx((2.3 / 3) / 0.25)
-        a = TS2.tag("A")
+        a = TS2.tag("A").index
         assert model.converse_lexical_probs("xs", [a])[0] == pytest.approx((0.7 / 3) / 0.75)
 
     def test_large_k_approaches_anchor(self):
@@ -104,7 +105,7 @@ class TestTrainedKnownWord:
 
     def test_converse_scores(self):
         model = _train(WALK_CORPUS)
-        n, v = model.converse_lexical_probs("walk", [TS_NV.tag("N"), TS_NV.tag("V")])
+        n, v = model.converse_lexical_probs("walk", [TS_NV.tag("N").index, TS_NV.tag("V").index])
         assert n == pytest.approx(0.7 / 0.75)
         assert v == pytest.approx(0.3 / 0.25)
 
@@ -200,7 +201,7 @@ class TestPunctuation:
         assert model.punct_priors[TS_NV.tag("@fullstop").index] == pytest.approx(0.5)
         # word prior still counts the N use of ";"
         assert model.priors[TS_NV.tag("N").index] == pytest.approx(0.5)
-        assert model.converse_lexical_probs(";", [semi])[0] == pytest.approx((2 / 3) / 0.5)
+        assert model.converse_lexical_probs(";", [semi.index])[0] == pytest.approx((2 / 3) / 0.5)
 
     def test_candidates_are_exactly_observed(self):
         model = _train(self.MIXED)
@@ -214,7 +215,7 @@ class TestDegenerate:
             model = LexicalModel.train([], TS_NV)
         for t in TS_NV.word_tags():
             assert model.priors[t.index] == 0.5
-            assert model.converse_lexical_probs("anything", [t])[0] == pytest.approx(1.0)
+            assert model.converse_lexical_probs("anything", [t.index])[0] == pytest.approx(1.0)
         assert [t.symbol for t in model.candidate_tags("anything")] == ["N", "V"]
 
     def test_punctuation_only_inventory_rejected(self):
@@ -224,12 +225,6 @@ class TestDegenerate:
             with pytest.raises(TagInventoryError, match="no word tags"):
                 LexicalModel.train(sents, ts)
 
-    def test_inconsistent_prior_raises(self):
-        model = bare_model(TS2, [1.0, 0.0])
-        model._dist_cache["zz"] = np.array([0.5, 0.5])
-        with pytest.raises(InconsistentPriorError, match="zz"):
-            model.converse_lexical_probs("zz", [TS2.tag("B")])
-
     def test_vector_scores_take_each_prior_from_the_tags_family(self):
         model = _train("walk\tN\nwalk\tV\n;\t@semicolon\n.\t@fullstop\n")
         for surface in ("walk", ";", ".", "unseen"):
@@ -238,20 +233,44 @@ class TestDegenerate:
             for t in TS_NV:
                 prior = (model.priors if t.cls == WORD else model.punct_priors)[t.index]
                 want.append(dist[t.index] / prior if prior > 0.0 else 0.0)
-            assert list(model.converse_lexical_probs(surface, list(TS_NV))) == want
-
-    def test_vector_scores_name_the_first_inconsistent_tag(self):
-        ts = parse_tagset("A\nB\nC\n")
-        model = bare_model(ts, [1.0, 0.0, 0.0])
-        model._dist_cache["zz"] = np.array([0.5, 0.0, 0.5])
-        assert list(model.converse_lexical_probs("zz", [ts.tag("A"), ts.tag("B")])) == [0.5, 0.0]
-        with pytest.raises(InconsistentPriorError, match=r"tag C has zero prior"):
-            model.converse_lexical_probs("zz", [ts.tag("B"), ts.tag("C"), ts.tag("A")])
+            assert list(model.converse_lexical_probs(surface, [t.index for t in TS_NV])) == want
 
     def test_zero_prior_zero_mass_scores_zero(self):
         model = bare_model(TS2, [1.0, 0.0])
         model._dist_cache["qq"] = np.array([1.0, 0.0])
-        assert model.converse_lexical_probs("qq", [TS2.tag("B")])[0] == 0.0
+        assert model.converse_lexical_probs("qq", [TS2.tag("B").index])[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("surfaces", "tag V has zero prior but word surface 'walk' counts it"),
+            ("punct_table", "tag @fullstop has zero prior but punct-table surface '.' counts it"),
+            ("capitalized", "tag V has zero prior but class capitalized gives it mass"),
+            ("all-caps", "tag V has zero prior but class all-caps gives it mass"),
+            ("infrequent", "tag V has zero prior but class infrequent gives it mass"),
+        ],
+    )
+    def test_a_tag_with_mass_but_zero_prior_is_refused(self, source, message):
+        # word priors cover N only, punctuation priors @semicolon only
+        n, v, dot, semi = range(4)
+        priors, punct_priors = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])
+        tables = {"surfaces": {"walk": {n: 3}}, "punct_table": {";": {semi: 2, n: 1}}}
+        dists = {name: priors.copy() for name in ("capitalized", "all-caps", "infrequent")}
+
+        def build():
+            return LexicalModel(
+                TS_NV, SmoothingConfig(), priors, punct_priors, dists,
+                tables["punct_table"], tables["surfaces"],
+            )
+
+        build()  # every source consistent
+        if source in tables:
+            extra = {"surfaces": ("walk", v), "punct_table": (".", dot)}[source]
+            tables[source].setdefault(extra[0], {})[extra[1]] = 1
+        else:
+            dists[source] = np.array([0.5, 0.5, 0.0, 0.0])
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_empty_surface_is_refused(self):
         n, v = TS_NV.tag("N"), TS_NV.tag("V")

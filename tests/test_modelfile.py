@@ -23,7 +23,7 @@ from ambitag.modelfile import (
 )
 from ambitag.ngram import StateSpace, TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
-from ambitag.tagset import TagSet, parse_tagset
+from ambitag.tagset import WORD, TagSet, parse_tagset
 
 from oracles import trie_dump
 
@@ -499,10 +499,15 @@ class TestMalformedFields:
         except InputError:
             return
         # a model that loads must also work on first use, and its dump must
-        # load back to the same dump
+        # load back to the same dump; a tag without a prior in its own family
+        # has no mass, so it scores 0
         trans.probs
+        ids = [t.index for t in lex.tagset]
+        prior = [(lex.priors if t.cls == WORD else lex.punct_priors)[t.index] for t in lex.tagset]
+        unset = np.array(prior) == 0.0
         for surface in ("walk", "the", "talks", ".", ",", "Xyz"):
             lex.candidate_tags(surface)
+            assert not lex.converse_lexical_probs(surface, ids)[unset].any()
         text = dumps_model(lex, trans)
         assert dumps_model(*loads_model(text)) == text
 
