@@ -36,6 +36,17 @@ class ModelFormatError(InputError):
     pass
 
 
+class ZeroPriorError(InputError):
+    """A tag whose prior in its own family is 0 but which a surface counts or
+    a class distribution gives mass: `source` is "word surface",
+    "punct-table surface" or "class", `key` the surface or the class name,
+    and `tag` the tag's index."""
+
+    def __init__(self, message: str, source: str, key: str, tag: int):
+        super().__init__(message)
+        self.source, self.key, self.tag = source, key, tag
+
+
 class ConfigError(InputError):
     pass
 

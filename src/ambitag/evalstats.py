@@ -123,7 +123,7 @@ def score_decodes(
     cells: list[float] = []  # every candidate's posterior
     p_primary: list[float] = []
     p_gold: list[float] = []
-    unseen: list[bool] = []
+    surfaces: list[str] = []
     for si, (sent, dec) in enumerate(zip(gold, decodes)):
         if len(sent) != len(dec.cohorts):
             raise InputError(
@@ -136,10 +136,12 @@ def score_decodes(
             p_primary.append(post[primary])
             g = gold_tag.index
             p_gold.append(math.inf if g == primary else post.get(g, -math.inf))
-            unseen.append(not lex.is_known(tok.surface))
+            surfaces.append(tok.surface)
     words = len(p_gold)
     if words == 0:
         raise InputError("empty evaluation corpus")
+    known = {surface: lex.is_known(surface) for surface in set(surfaces)}
+    unseen = [not known[surface] for surface in surfaces]
     cells_a, primary_a, gold_a, unseen_a = map(np.array, (cells, p_primary, p_gold, unseen))
     unseen_words = int(np.count_nonzero(unseen_a))
     omissions = int(np.count_nonzero(gold_a == -math.inf))

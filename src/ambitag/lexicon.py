@@ -32,7 +32,7 @@ from .corpus import (
     AnnotatedSentence,
     word_shape,
 )
-from .errors import ConfigError, InputError, TagInventoryError
+from .errors import ConfigError, InputError, TagInventoryError, ZeroPriorError
 from .tagset import Tag, TagSet
 
 _surface = attrgetter("surface")
@@ -79,8 +79,10 @@ def _anchor(priors: np.ndarray, word_ids: list[int]) -> np.ndarray:
     return anchor
 
 
-def _zero_prior(tagset: TagSet, t: int, source: str) -> InputError:
-    return InputError(f"tag {tagset.by_index(t).symbol} has zero prior but {source}")
+def _zero_prior(tagset: TagSet, t: int, source: str, key: str) -> ZeroPriorError:
+    what = f"class {key} gives it mass" if source == "class" else f"{source} {key!r} counts it"
+    symbol = tagset.by_index(t).symbol
+    return ZeroPriorError(f"tag {symbol} has zero prior but {what}", source, key, t)
 
 
 class LexicalModel:
@@ -116,11 +118,11 @@ class LexicalModel:
                     )
                 if not unset.isdisjoint(counts):
                     t = min(unset.intersection(counts))
-                    raise _zero_prior(tagset, t, f"{source} {surface!r} counts it")
+                    raise _zero_prior(tagset, t, source, surface)
         for name, dist in class_dists.items():
             bad = np.flatnonzero(zero & (dist > 0.0))
             if bad.size:
-                raise _zero_prior(tagset, int(bad[0]), f"class {name} gives it mass")
+                raise _zero_prior(tagset, int(bad[0]), "class", name)
         self.tagset = tagset
         self.config = config
         self.priors = priors

@@ -16,8 +16,18 @@ rejected.  Every count is a positive integer below 2^63, and so is the sum
 of the trigram counts, merged as int64, and each tag's count merged within
 a trie or punct-table surface.  A tag whose prior in its own family is 0
 may have no trie or punct-table count and no mass in a class
-distribution, or the model is rejected.  Punct-table surfaces are written
-unescaped, so one holding a tab or a line break cannot be saved.
+distribution, or the model is rejected, naming the line of that count or
+of that class's header.  Punct-table surfaces are written unescaped, so one
+holding a tab or a line break cannot be saved.
+
+The trigram section is read by a bulk pass first (`bulkparse`): each slab
+of lines is encoded once and checked and parsed as one byte array, with no
+Python object per field.  It takes only lines in the form `dumps_model`
+writes, ``a b c n`` single-spaced, each symbol exactly one of the
+alphabet's and each count 1-19 ASCII digits.  If any slab holds another
+line, or the counts reach 2^63, the per-line loop reads the section from
+its first line instead: that loop defines a valid line, so the two read
+every file alike and every error keeps its message and line number.
 """
 
 from __future__ import annotations
@@ -27,8 +37,15 @@ from typing import TextIO
 
 import numpy as np
 
+from .bulkparse import bulk_trigrams
 from .corpus import read_text, write_text
-from .errors import ConfigError, InputError, ModelFormatError, TagInventoryError
+from .errors import (
+    ConfigError,
+    InputError,
+    ModelFormatError,
+    TagInventoryError,
+    ZeroPriorError,
+)
 from .lexicon import LexicalModel, SmoothingConfig
 from .ngram import StateSpace, TransitionModel
 from .tagset import TagSet
@@ -226,8 +243,15 @@ def _read_config(lines: _Lines) -> SmoothingConfig:
         raise lines.error(str(exc)) from None
 
 
-def _read_punct_table(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int]]:
-    """Each line is ``surface<TAB>(tag count)*``; a repeated surface sums."""
+# {(surface, tag id): the first line that counts that tag for that surface}
+_Where = dict[tuple[str, int], int]
+
+
+def _read_punct_table(
+    lines: _Lines, lookup: dict[str, int], where: _Where | None = None
+) -> dict[str, dict[int, int]]:
+    """Each line is ``surface<TAB>(tag count)*``; a repeated surface sums.
+    `where`, if given, gets the line of each count."""
     table: dict[str, dict[int, int]] = {}
     entries = lines.numbered(lines.count("punct-table "))
     try:
@@ -236,16 +260,22 @@ def _read_punct_table(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[i
             fields = rest.split()
             if not fields:
                 raise ModelFormatError("punct-table entry has no counts")
-            _term_counts(fields, lookup, table.setdefault(surface, {}))
+            row = table.setdefault(surface, {})
+            _term_counts(fields, lookup, row)
+            if where is not None:
+                for t in row:
+                    where.setdefault((surface, t), lineno)
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "punct-table entry") from None
     return table
 
 
-def _read_trie(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int]]:
+def _read_trie(
+    lines: _Lines, lookup: dict[str, int], where: _Where | None = None
+) -> dict[str, dict[int, int]]:
     """The pre-order trie dump, each line ``depth char (tag count)*``, as
     {surface: {tag id: count}} over the lines with counts; a repeated
-    surface sums."""
+    surface sums.  `where`, if given, gets the line of each count."""
     table: dict[str, dict[int, int]] = {}
     chars: list[str] = []  # the path from the root to the last node
     bare = 0  # the last line's number if it has no counts
@@ -261,8 +291,12 @@ def _read_trie(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int
             del chars[depth - 1 :]
             chars.append(_dec_char(ch))
             if terms:
-                # the path spells the surface backwards
-                _term_counts(terms, lookup, table.setdefault("".join(reversed(chars)), {}))
+                surface = "".join(reversed(chars))  # the path spells it backwards
+                row = table.setdefault(surface, {})
+                _term_counts(terms, lookup, row)
+                if where is not None:
+                    for t in row:
+                        where.setdefault((surface, t), lineno)
             bare = 0 if terms else lineno
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "trie line") from None
@@ -271,12 +305,14 @@ def _read_trie(lines: _Lines, lookup: dict[str, int]) -> dict[str, dict[int, int
     return table
 
 
-def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[list[int], list[int]]:
-    """Each line is ``a b c count``; the windows' `ids`, flat, and their counts."""
+def _read_trigram_lines(
+    entries: enumerate, ids: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each numbered line is ``a b c count``; the windows' `ids`, shape
+    (m, 3), and their int64 counts.  This loop defines a valid line."""
     windows: list[int] = []
     counts: list[int] = []
     total = 0
-    entries = lines.numbered(lines.count("trigrams "))
     try:
         for lineno, line in entries:
             a, b, c, count = line.split()
@@ -287,7 +323,51 @@ def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[list[int], list[
             windows += ids[a], ids[b], ids[c]
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "trigram line") from None
-    return windows, counts
+    dtype = np.min_scalar_type(len(ids))
+    return np.array(windows, dtype).reshape(-1, 3), np.array(counts, np.int64)
+
+
+def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The trigram section: the bulk pass if it takes every line, else the
+    per-line loop from the section's first line, which locates any error."""
+    n = lines.count("trigrams ")
+    block = lines.block(n)
+    found = bulk_trigrams(block, ids)
+    if found is None:
+        found = _read_trigram_lines(enumerate(block, lines.pos - n + 1), ids)
+    return found
+
+
+def _read_lexicon(lines: _Lines, tagset: TagSet) -> LexicalModel:
+    """The lexicon's sections.  A tag with zero prior that a surface counts
+    or a class distribution gives mass is refused with the line of the
+    surface's count or of the class's header."""
+    lookup = tagset.lookup
+    config = _read_config(lines)
+    priors = _read_dist(lines, "priors word ", lookup)
+    punct_priors = _read_dist(lines, "priors punct ", lookup)
+    class_dists, class_lines = {}, {}
+    for name in ("capitalized", "all-caps", "infrequent"):
+        class_lines[name] = lines.pos + 1
+        class_dists[name] = _read_dist(lines, f"class {name} ", lookup)
+    # where each surface section starts, to read it again on that error
+    starts = {"punct-table surface": (lines.pos, _read_punct_table)}
+    punct_table = _read_punct_table(lines, lookup)
+    starts["word surface"] = (lines.pos, _read_trie)
+    surfaces = _read_trie(lines, lookup)
+    try:
+        return LexicalModel(
+            tagset, config, priors, punct_priors, class_dists, punct_table, surfaces
+        )
+    except ZeroPriorError as exc:
+        if exc.source == "class":
+            lineno = class_lines[exc.key]
+        else:
+            lines.pos, read = starts[exc.source]
+            where: _Where = {}
+            read(lines, lookup, where)
+            lineno = where[exc.key, exc.tag]
+        raise ModelFormatError(f"line {lineno}: {exc}") from None
 
 
 def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
@@ -300,19 +380,7 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
         symbols[sym] = None
     tagset = TagSet(list(symbols))
 
-    lookup = tagset.lookup
-    lex = LexicalModel(
-        tagset,
-        _read_config(lines),
-        _read_dist(lines, "priors word ", lookup),
-        _read_dist(lines, "priors punct ", lookup),
-        {
-            name: _read_dist(lines, f"class {name} ", lookup)
-            for name in ("capitalized", "all-caps", "infrequent")
-        },
-        _read_punct_table(lines, lookup),
-        _read_trie(lines, lookup),
-    )
+    lex = _read_lexicon(lines, tagset)
 
     lines.expect(TRANS_HEADER)
     try:

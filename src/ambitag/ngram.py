@@ -74,7 +74,10 @@ class TransitionModel:
         or flat, each `weights[i]` times or once: ``trigrams`` holds the distinct
         windows, sorted ascending, and ``counts`` their int64 counts.  Ids are
         held in the smallest unsigned type that fits them, to save memory; an
-        id outside the alphabet raises ValueError."""
+        id outside the alphabet raises ValueError.  Windows that are already
+        distinct and ascending, with one weight each, as a model file holds
+        them, are kept as given: arrays of the id type and int64 are not
+        copied."""
         if not 0.0 <= k < math.inf:
             raise ConfigError(f"blend strength must be finite and >= 0, got {k}")
         self.space = StateSpace(tagset)
@@ -88,10 +91,14 @@ class TransitionModel:
         if weights is None:  # a few times less scratch memory than the inverse
             codes, self.counts = np.unique(codes, return_counts=True)
         else:
+            weights = np.asarray(weights, np.int64)
+            if weights.shape == codes.shape and (codes[1:] > codes[:-1]).all():
+                self.trigrams, self.counts = ids, weights  # distinct and sorted already
+                return
             codes, where = np.unique(codes, return_inverse=True)
             self.counts = np.zeros(len(codes), np.int64)
-            np.add.at(self.counts, where, np.asarray(weights, np.int64))
-        self.trigrams = np.stack(np.unravel_index(codes, shape), axis=1)
+            np.add.at(self.counts, where, weights)
+        self.trigrams = np.stack(np.unravel_index(codes, shape), axis=1).astype(ids.dtype)
 
     @classmethod
     def train(

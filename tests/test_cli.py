@@ -458,7 +458,8 @@ class TestBatchedErrorsKeepCorpusOrder:
         assert main([command, source, "--model", str(model)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: tag V has zero prior but class capitalized gives it mass\n"
+        # line 11 is the header of the class capitalized distribution
+        assert err == "error: line 11: tag V has zero prior but class capitalized gives it mass\n"
 
 
 class TestViterbiOnlyWhenAsked:

@@ -75,6 +75,17 @@ class TestScoring:
             assert rep.omissions == 1
             assert rep.lexical_omission_rate == 0.1
 
+    def test_is_known_is_asked_once_per_distinct_surface(self, monkeypatch):
+        lex, trans = _train("\n\n".join(["dog\tN"] * 4))
+        gold = parse_annotated("\n\n".join(["dog\tN"] * 8 + ["cat\tN", "cup\tV", "cat\tN"]), TS)
+        decodes = decode_corpus(lex, trans, gold)
+        asked = []
+        is_known = lex.is_known
+        monkeypatch.setattr(lex, "is_known", lambda surface: asked.append(surface) or is_known(surface))
+        rep = score_decodes(gold, decodes, lex, 1.0)
+        assert sorted(asked) == ["cat", "cup", "dog"]
+        assert (rep.unseen_words, rep.unseen_errors) == (3, 1)  # cat twice and cup
+
     def test_residual_error_equals_omission_rate_at_zero_threshold(self):
         # with everything retained, the only possible error is a candidate
         #-set omission, so the two rates coincide by construction

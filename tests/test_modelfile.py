@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, decode_sentence
 from ambitag.errors import InputError, ModelFormatError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig
+from ambitag import bulkparse, modelfile
+from ambitag.bulkparse import bulk_trigrams
 from ambitag.modelfile import (
     LEX_HEADER,
     TRANS_HEADER,
     _dec_char,
     _enc_char,
+    _read_trigram_lines,
     dumps_model,
     load_model,
     loads_model,
@@ -23,7 +27,7 @@ from ambitag.modelfile import (
 )
 from ambitag.ngram import StateSpace, TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
-from ambitag.tagset import WORD, TagSet, parse_tagset
+from ambitag.tagset import WORD, TagSet, default_tagset, parse_tagset
 
 from oracles import trie_dump
 
@@ -530,6 +534,24 @@ class TestLoadMemory:
         # and in a word-count table, and a subtree total on every node.
         assert held <= 3_171_584
 
+    def test_peak_load_memory_on_a_60_tag_model(self):
+        hmm = build_synthetic_hmm(n_tags=60, vocab=1000, seed=7)
+        corpus = sample_corpus(hmm, 20_000, seed=7)
+        lex = LexicalModel.train(corpus, hmm.tagset)
+        text = dumps_model(lex, TransitionModel.train(corpus, hmm.tagset))
+        assert text.count("\n") > 20_000  # 17,201 trigram lines
+        loads_model(text)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            loads_model(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Frozen from the loader that read the trigram lines into Python
+        # lists and merged them with np.unique: 4,903,041 B.  The bulk pass
+        # peaked at 4,139,731 B with slabs of 2,048 lines.
+        assert peak < 4_903_041
+
 
 class TestLongSurface:
     def test_1500_character_token(self):
@@ -544,3 +566,239 @@ class TestLongSurface:
         toks = [Token("the"), Token(long), Token(".")]
         decode = decode_sentence(lex2, trans2, cohorts_for_tokens(lex2, toks))
         assert TS.by_index(decode.viterbi_ids[1]).symbol == "V"
+
+
+def _trigram_block(text: str) -> tuple[list[str], list[str], list[str]]:
+    """`text`'s lines split into those up to the trigram header, the
+    trigram lines, and the lines after them."""
+    lines = text.splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("trigrams ")) + 1
+    end = idx + int(lines[idx - 1].split()[1])
+    return lines[:idx], lines[idx:end], lines[end:]
+
+
+def _with_block(text: str, block: list[str], newline: str = "\n") -> str:
+    head, _, tail = _trigram_block(text)
+    head[-1] = f"trigrams {len(block)}"
+    return newline.join(head + block + tail) + newline
+
+
+def _load_outcome(text: str) -> tuple:
+    """The loaded transition arrays with their dtypes, or the error."""
+    try:
+        _, trans = loads_model(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return trans.trigrams.dtype, trans.trigrams.tolist(), trans.counts.dtype, trans.counts.tolist()
+
+
+def _line_loop_outcome(text: str) -> tuple:
+    """As `_load_outcome`, with the bulk pass turned off."""
+    with mock.patch.object(modelfile, "bulk_trigrams", return_value=None):
+        return _load_outcome(text)
+
+
+def _model_on(tagset: TagSet, words: int = 4000, seed: int = 1) -> str:
+    """A model dump trained on a synthetic corpus whose tags are `tagset`'s."""
+    hmm = build_synthetic_hmm(n_tags=len(tagset), vocab=400, seed=seed)
+    corpus = [
+        AnnotatedSentence(sent.tokens, [tagset.by_index(t.index) for t in sent.gold])
+        for sent in sample_corpus(hmm, words, seed=seed)
+    ]
+    return dumps_model(LexicalModel.train(corpus, tagset), TransitionModel.train(corpus, tagset))
+
+
+# Symbols of 1 to 31 bytes, non-ASCII ones included: fields of 1 to 4 words.
+ODD_TS = parse_tagset("N\n\u00d1\n\u540d\u8a5e\nHAVE-SUBJUNCTIVE\nA-SYMBOL-OF-THIRTY-ONE-BYTES-XY\n@dot\n")
+ODD_DUMP = _model_on(ODD_TS, words=600, seed=2)
+
+COUNT_FIELDS = [
+    "007", "0", "1", "x", "", "-1", "+1", "1.0", "\u0663", "\u0967", str(2**63 - 1), str(2**63),
+    "9" * 19, "9" * 20, "0" * 18 + "1", "0" * 19 + "1", "1" * 19, str(2**64), str(2**64 + 5),
+]
+SEPARATORS = ["\t", "  ", "\u00a0", " \t", "\x0b", "\x1f", "\u3000", "\r", ""]
+# Symbols, near misses of them (one byte changed or dropped, a decomposed
+# Ñ, a non-breaking space) and empty or doubled fields.
+SYMBOL_FIELDS = [
+    "<s>", "N", "\u00d1", "N\u0303", "\u540d\u8a5e", "HAVE-SUBJUNCTIVE", "HAVE-SUBJUNCTIVF",
+    "HAVE-SUBJUNCTIV", "A-SYMBOL-OF-THIRTY-ONE-BYTES-XZ", "NN", "n", "", "N\u00a0",
+]
+ODD_LINES = ["", " ", "N N N", "N N N 1 1", " N N N 1", "N N N 1 ", "<s> <s> <s> 1"]
+
+
+@st.composite
+def trigram_sections(draw):
+    """A model text whose trigram lines are mutated: shuffled, repeated,
+    totals pushed to 2^63 - 1 +- 1, and fields, separators or whole lines
+    replaced; also how many lines the bulk pass takes per slab."""
+    text = draw(st.sampled_from([DUMP, ODD_DUMP]))
+    block = _trigram_block(text)[1]
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        block = block + [rng.choice(block) for _ in range(draw(st.integers(1, 4)))]
+        rng.shuffle(block)
+    delta = draw(st.sampled_from([None, -1, 0, 1]))
+    if delta is not None:  # the running total ends at 2^63 - 1 + delta
+        i = rng.randrange(len(block))
+        others = sum(int(l.rsplit(" ", 1)[1]) for j, l in enumerate(block) if j != i)
+        block[i] = f"{block[i].rsplit(' ', 1)[0]} {2**63 - 1 + delta - others}"
+    for _ in range(draw(st.integers(0, 3))):
+        i = rng.randrange(len(block))
+        fields = block[i].split(" ")
+        kind = draw(st.sampled_from(["count", "separator", "symbol", "line"]))
+        if kind == "count":
+            fields[-1] = draw(st.sampled_from(COUNT_FIELDS))
+        elif kind == "separator" and len(fields) > 1:
+            j = rng.randrange(len(fields) - 1)
+            fields[j : j + 2] = [fields[j] + draw(st.sampled_from(SEPARATORS)) + fields[j + 1]]
+        elif kind == "symbol":
+            fields[rng.randrange(len(fields))] = draw(st.sampled_from(SYMBOL_FIELDS))
+        else:
+            fields = [draw(st.sampled_from(ODD_LINES) | st.text(max_size=8))]
+        block[i] = " ".join(fields)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    tagset = TS if text is DUMP else ODD_TS
+    return _with_block(text, block, newline), tagset, draw(st.sampled_from([1, 2, 5, 2048]))
+
+
+class TestTrigramBulkPass:
+    """The bulk pass reads the trigram section exactly as the per-line loop
+    does, or declines and leaves it to the loop."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(section=trigram_sections())
+    def test_bulk_pass_and_line_loop_agree(self, section):
+        text, tagset, slab_lines = section
+        with mock.patch.object(bulkparse, "SLAB_LINES", slab_lines):
+            outcome = _load_outcome(text)
+            assert outcome == _line_loop_outcome(text)
+            event("refused" if len(outcome) == 2 else "loaded")
+            # where the bulk pass takes the lines, its arrays are the loop's
+            _, block, _ = _trigram_block(text)
+            ids = StateSpace(tagset).ids
+            bulk = bulk_trigrams(block, ids)
+            event("bulk pass declined" if bulk is None else "bulk pass taken")
+            try:
+                loop = _read_trigram_lines(enumerate(block, 1), ids)
+            except InputError:
+                assert bulk is None
+                return
+            if bulk is not None:
+                for got, want in zip(bulk, loop):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "edit, taken",
+        [
+            (lambda l: l, True),
+            (lambda l: l.rsplit(" ", 1)[0] + " 007", True),
+            (lambda l: l.rsplit(" ", 1)[0] + " " + "0" * 18 + "1", True),  # 19 digits
+            (lambda l: l.rsplit(" ", 1)[0] + " " + "0" * 19 + "1", False),  # 20 digits: the loop reads 1
+            (lambda l: l.replace(" ", "\t", 1), False),
+            (lambda l: l.replace(" ", "  ", 1), False),
+            (lambda l: l.replace(" ", "\u00a0", 1), False),
+            (lambda l: l + " ", False),
+        ],
+        ids=["canonical", "007", "19-digits", "20-digits", "tab", "double-space", "nbsp", "trailing-space"],
+    )
+    def test_odd_but_valid_lines_load_as_the_loop_reads_them(self, edit, taken):
+        head, block, _ = _trigram_block(ODD_DUMP)
+        block[1] = edit(block[1])
+        text = _with_block(ODD_DUMP, block)
+        assert (bulk_trigrams(block, StateSpace(ODD_TS).ids) is not None) == taken
+        outcome = _load_outcome(text)
+        assert outcome == _line_loop_outcome(text)
+        assert outcome[0] == np.uint8  # loaded, not refused
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_running_total_of_2_63_minus_1_loads_and_2_63_is_located(self, delta):
+        head, block, _ = _trigram_block(DUMP)
+        block = block * 3000  # more than one slab; repeats merge
+        others = sum(int(l.rsplit(" ", 1)[1]) for l in block[:-1])
+        block[-1] = f"{block[-1].rsplit(' ', 1)[0]} {2**63 - 1 + delta - others}"
+        text = _with_block(DUMP, block)
+        taken = bulk_trigrams(block, StateSpace(TS).ids) is not None
+        outcome = _load_outcome(text)
+        assert outcome == _line_loop_outcome(text)
+        if delta:
+            lineno = len(head) + len(block)
+            assert not taken
+            assert outcome == (ModelFormatError, f"line {lineno}: trigram counts sum to 2^63 or more")
+        else:
+            assert taken and sum(outcome[3]) == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "tagset",
+        [build_synthetic_hmm(n_tags=n, vocab=n).tagset for n in (10, 60, 83)] + [default_tagset()],
+        ids=["synthetic-10", "synthetic-60", "synthetic-83", "engcg"],
+    )
+    def test_every_dumped_model_takes_the_bulk_pass(self, tagset):
+        text = _model_on(tagset)
+        longest = max((t.symbol for t in tagset), key=len)
+        _, block, _ = _trigram_block(text)
+        assert any(longest in line.split(" ") for line in block)
+        with mock.patch.object(modelfile, "_read_trigram_lines", side_effect=AssertionError):
+            lex, trans = loads_model(text)
+        assert dumps_model(lex, trans) == text
+        assert _load_outcome(text) == _line_loop_outcome(text)
+
+    def test_unknown_symbol_and_bad_count_keep_their_located_messages(self):
+        head, block, _ = _trigram_block(DUMP)
+        lineno = len(head) + 2
+        block[1] = "N BOGUS N 1"
+        assert _load_outcome(_with_block(DUMP, block)) == (
+            TagInventoryError, f"line {lineno}: unknown tag symbol 'BOGUS'"
+        )
+        block[1] = "N N N 0"
+        assert _load_outcome(_with_block(DUMP, block)) == (
+            ModelFormatError, f"line {lineno}: trigram count '0' is not a positive integer below 2^63"
+        )
+
+
+class TestZeroPriorNamesItsLine:
+    """A tag with zero prior that a surface counts or a class gives mass is
+    refused with the line that does so."""
+
+    @staticmethod
+    def _edited(*edits: tuple[str, str]) -> str:
+        text = DUMP
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        return text
+
+    def _refused(self, text: str) -> str:
+        with pytest.raises(ModelFormatError) as exc:
+            loads_model(text)
+        return str(exc.value)
+
+    def test_trie_surface(self):
+        text = self._edited(("priors word 3\n", "priors word 2\n"), ("ADV 0.14285714285714285\npriors", "priors"))
+        lineno = text.splitlines().index("3 n ADV 1") + 1
+        assert self._refused(text) == f"line {lineno}: tag ADV has zero prior but word surface 'now' counts it"
+
+    def test_repeated_trie_surface_names_the_line_that_counts_the_tag(self):
+        text = self._edited(
+            ("priors word 3\n", "priors word 2\n"), ("ADV 0.14285714285714285\npriors", "priors"),
+            ("3 n ADV 1\n", "3 n N 1\n1 w\n2 o\n3 n ADV 1\n"), ("trie 16\n", "trie 19\n"),
+        )
+        lineno = text.splitlines().index("3 n ADV 1") + 1
+        assert self._refused(text) == f"line {lineno}: tag ADV has zero prior but word surface 'now' counts it"
+
+    def test_punct_table_surface(self):
+        text = self._edited(
+            ("priors punct 2\n", "priors punct 1\n"), ("@comma 0.3333333333333333\n", ""),
+            ("punct-table 2\n,\t@comma 1\n", "punct-table 3\n,\t@dot 1\n,\t@comma 1\n"),
+        )
+        lineno = text.splitlines().index(",\t@comma 1") + 1
+        assert self._refused(text) == (
+            f"line {lineno}: tag @comma has zero prior but punct-table surface ',' counts it"
+        )
+
+    def test_class_distribution(self):
+        text = self._edited(
+            ("priors word 3\n", "priors word 2\n"), ("ADV 0.14285714285714285\npriors", "priors"),
+            ("1 w\n2 o\n3 n ADV 1\n", ""), ("trie 16\n", "trie 13\n"),
+        )
+        lineno = text.splitlines().index("class all-caps 3") + 1
+        assert self._refused(text) == f"line {lineno}: tag ADV has zero prior but class all-caps gives it mass"

@@ -142,6 +142,22 @@ class TestCounting:
         unweighted = TransitionModel(TS3, 1.0, windows)
         assert unweighted.counts.tolist() == [1, 3, 2]
 
+    def test_distinct_ascending_weighted_windows_are_kept_as_given(self):
+        windows = np.array([[0, 1, 2], [B, 0, B], [B, B, 0]], np.uint8)
+        weights = np.array([5, 6, 5], np.int64)
+        model = TransitionModel(TS3, 1.0, windows, weights)
+        assert np.shares_memory(model.trigrams, windows) and model.counts is weights
+        # reversed, repeated or int64 windows merge to the same arrays, dtypes included
+        for other, other_weights, times in [
+            (windows[::-1], weights[::-1], 1),
+            (np.vstack([windows, windows]), np.concatenate([weights, weights]), 2),
+            (windows.astype(np.int64), weights.tolist(), 1),
+        ]:
+            merged = TransitionModel(TS3, 1.0, other, other_weights)
+            assert merged.trigrams.dtype == np.uint8 and merged.counts.dtype == np.int64
+            assert merged.trigrams.tolist() == windows.tolist()
+            assert merged.counts.tolist() == (times * weights).tolist()
+
     @pytest.mark.parametrize(
         "windows",
         [np.array([[B, B, -255]]), [(B, B, -1)], np.array([[B, B, B + 1]]), [(B, B, 256)]],
