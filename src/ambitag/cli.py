@@ -47,7 +47,7 @@ class RunConfig:
     seed: int = 0
 
     def update_from_text(self, text: str, source: str = "<config>") -> None:
-        types = {f.name: f.type for f in dataclasses.fields(self)}
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(self)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -56,16 +56,10 @@ class RunConfig:
                 raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in types:
+            if key not in kinds:
                 raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-            kind = types[key]
             try:
-                if kind == "float":
-                    setattr(self, key, float(value))
-                elif kind == "int":
-                    setattr(self, key, int(value))
-                else:
-                    setattr(self, key, value)
+                setattr(self, key, kinds[key](value))
             except ValueError:
                 raise ConfigError(
                     f"{source}:{lineno}: bad value {value!r} for {key}"
@@ -125,14 +119,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     trans = TransitionModel.train(corpus, tagset, cfg.k_trans)
     save_model(args.model, lex, trans)
     seen = {t.index for s in corpus for t in s.gold}
-    sys.stdout.write(cfg.header())
-    sys.stdout.write(
+    report = (
         f"sentences {len(corpus)}\n"
         f"words {corpus_io.word_count(corpus)}\n"
         f"surfaces {len(lex.surfaces) + len(lex.punct_table)}\n"
         f"tagset-coverage {len(seen)}/{len(tagset)}\n"
         f"model {args.model}\n"
     )
+    corpus_io.write_text(cfg.header() + report, args.out or sys.stdout)
     return 0
 
 

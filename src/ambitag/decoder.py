@@ -15,7 +15,7 @@ A lattice is a batch of sentences, longest first, that share the candidate
 set at each position, so every table has a leading sentence axis and the
 sentences still going at position t are a prefix of the batch: one
 transition block and one einsum per step serve the whole batch.  One
-sentence is a batch of one.  `decode_sentences` batches the sentences in
+sentence is a batch of one.  `decode_corpus` batches the sentences in
 which every word has one and the same candidate set (every lexicon lattice
 when `support_epsilon` is 0), up to BATCH_CELLS forward-table cells per
 batch; every other sentence is a batch of one.  Each sentence keeps its
@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Cohort
+from .corpus import AnnotatedSentence, Cohort
 from .errors import DeadLatticeError
 from .lexicon import LexicalModel
 from .ngram import TransitionModel
@@ -354,57 +354,47 @@ def _batches(columns: list[list[Column]]) -> list[list[int]]:
     return batches
 
 
-def decode_sentences(
+def decode_corpus(
     lex: LexicalModel,
     trans: TransitionModel,
-    sentences: list[list[Cohort]],
+    corpus: list[AnnotatedSentence],
     with_viterbi: bool = True,
 ) -> list[SentenceDecode]:
-    """`decode_sentence` of each sentence, decoded in batches.
+    """`decode_sentence` of each sentence's lexicon cohorts, decoded in batches.
 
-    Sentences in which every word has the same candidate set are batched,
-    longest first, up to BATCH_CELLS forward-table cells per batch; every
-    other sentence is a batch of one.  Cohorts of one surface that share
-    their candidates list share one lattice column, built once.  The first
-    sentence, in order, that fails raises its own error, as decoding them
-    one at a time would.
+    Each distinct surface's candidates are looked up once; its cohorts share
+    that list and one lattice column.  Sentences in which every word has the
+    same candidate set are batched, longest first, up to BATCH_CELLS
+    forward-table cells per batch; every other sentence is a batch of one.
+    When a lattice dies, the sentences are decoded again one at a time in
+    order, so the first that fails raises its own error.
     """
-    built: dict[str, tuple[list[Tag], Column]] = {}  # surface -> (its list, its column)
+    built: dict[str, tuple[list[Tag], Column]] = {}  # surface -> (candidates, column)
+    sentences: list[list[Cohort]] = []
     columns: list[list[Column]] = []
-    failure: tuple[int, Exception] | None = None
-    for cohorts in sentences:
-        if not cohorts:
-            failure = (len(columns), ValueError("empty sentence"))  # no later one is reached
-            break
-        row = []
-        for c in cohorts:
-            hit = built.get(c.token.surface)
-            if hit is None or hit[0] is not c.candidates:
-                hit = built[c.token.surface] = (c.candidates, Column(lex, c))
+    for sent in corpus:
+        cohorts, row = [], []
+        for tok in sent.tokens:
+            hit = built.get(tok.surface)
+            if hit is None:
+                cohort = Cohort(tok, lex.candidate_tags(tok.surface))
+                hit = built[tok.surface] = (cohort.candidates, Column(lex, cohort))
+            cohorts.append(Cohort(tok, hit[0]))
             row.append(hit[1])
+        sentences.append(cohorts)
         columns.append(row)
-
-    batches = _batches(columns)
-    out: list[SentenceDecode] = [None] * len(columns)  # type: ignore[list-item]
-    while batches:
-        batch = batches.pop()
-        if failure is not None and min(batch) > failure[0]:
-            continue
-        try:
+    out: list[SentenceDecode] = [None] * len(sentences)  # type: ignore[list-item]
+    try:
+        for batch in _batches(columns):
             lattice = build_lattice(
                 lex, trans, *[sentences[i] for i in batch], columns=[columns[i] for i in batch]
             )
-            decodes = _decode(lattice, with_viterbi)
-        except DeadLatticeError as exc:
-            if len(batch) > 1:  # find which sentence died first in order
-                batches += [[i] for i in batch]
-            else:
-                failure = (batch[0], exc)
-            continue
-        for i, decode in zip(batch, decodes):
-            out[i] = decode
-    if failure is not None:
-        raise failure[1]
+            for i, decode in zip(batch, _decode(lattice, with_viterbi)):
+                out[i] = decode
+    except DeadLatticeError:
+        for cohorts in sentences:
+            decode_sentence(lex, trans, cohorts, with_viterbi)
+        raise
     return out
 
 

@@ -16,21 +16,21 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, Cohort, split_for_learning_curve, word_count
+from .corpus import AnnotatedSentence, split_for_learning_curve, word_count
 from .decoder import (
     MODE_POSTERIOR,
     MODE_VITERBI,
     SentenceDecode,
     apply_threshold,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
     cohorts_for_tokens,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
+    decode_corpus,
     decode_sentence,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
-    decode_sentences,
     primary_ids,
 )
 from .errors import InputError
 from .lexicon import LexicalModel, SmoothingConfig
 from .ngram import TransitionModel
-from .tagset import Tag, TagSet
+from .tagset import TagSet
 
 
 @dataclass
@@ -73,28 +73,6 @@ class AgreementTest:
     def __post_init__(self) -> None:
         if self.observed is not None:
             self.reject = self.observed <= self.critical_rate
-
-
-def decode_corpus(
-    lex: LexicalModel,
-    trans: TransitionModel,
-    corpus: list[AnnotatedSentence],
-    with_viterbi: bool = True,
-) -> list[SentenceDecode]:
-    """One threshold-free decode per sentence, lattices from the lexicon,
-    decoded in batches (see `decode_sentences`).  Each distinct surface's
-    candidates are looked up once, and its cohorts share that list."""
-    candidates: dict[str, list[Tag]] = {}
-    sentences = []
-    for sent in corpus:
-        cohorts = []
-        for tok in sent.tokens:
-            cands = candidates.get(tok.surface)
-            if cands is None:
-                cands = candidates[tok.surface] = lex.candidate_tags(tok.surface)
-            cohorts.append(Cohort(tok, cands))
-        sentences.append(cohorts)
-    return decode_sentences(lex, trans, sentences, with_viterbi)
 
 
 def score_decodes(

@@ -34,6 +34,11 @@ class SyntheticHMM:
         return self.emit.shape[0]
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def build_synthetic_hmm(
     n_tags: int = 10,
     vocab: int = 1000,
@@ -45,8 +50,9 @@ def build_synthetic_hmm(
 ) -> SyntheticHMM:
     if n_tags < 2 or vocab < n_tags:
         raise ConfigError("need at least 2 tags and vocab >= n_tags")
-    if mean_len <= 1.0:
+    if not mean_len > 1.0:  # NaN fails too
         raise ConfigError("mean_len must exceed 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     tagset = TagSet([f"T{i}" for i in range(n_tags)])
 
@@ -111,6 +117,7 @@ def sample_corpus(
     model: SyntheticHMM, n_words: int, seed: int, max_sentence_len: int = 80
 ) -> list[AnnotatedSentence]:
     """Sentences totalling at least n_words (stops at a sentence boundary)."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     n = model.n_tags
     boundary = n

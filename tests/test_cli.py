@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 import ambitag
 from ambitag import decoder
-from ambitag.cli import main
+from ambitag.cli import RunConfig, main
 from ambitag.corpus import parse_annotated, parse_cohorts, word_count
+from ambitag.errors import ConfigError
 from ambitag.modelfile import load_model
 from ambitag.tagset import load_tagset
 
@@ -105,6 +107,14 @@ class TestTrain:
         assert "tagset-coverage 3/3" in out
         lex, trans = load_model(model)
         assert lex.is_known("dog") and len(trans.trigrams) > 0
+
+    def test_report_goes_to_out(self, ws, capsys):
+        report = ws / "report.txt"
+        train_model(ws, "--out", str(report))
+        assert capsys.readouterr().out == ""
+        text = report.read_text(encoding="utf-8")
+        assert text.startswith("# config:")
+        assert "tagset-coverage 3/3\n" in text
 
     def test_retrain_is_byte_identical(self, ws):
         a = train_model(ws)
@@ -705,6 +715,25 @@ class TestGenSynth:
         assert main(base + ["--seed", "2", "--out", str(b)]) == 0
         assert a.read_text(encoding="utf-8") != b.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--seed", "-2"], None),
+            ([], "seed = -4\n"),
+            (["--mean-len", "nan"], None),
+        ],
+    )
+    def test_bad_generator_values_are_exit_2(self, ws, capsys, flags, config):
+        args = ["gen-synth", "--words", "10", "--tags", "3", "--vocab", "30", *flags]
+        if config is not None:
+            (ws / "run.cfg").write_text(config, encoding="utf-8")
+            args += ["--config", str(ws / "run.cfg")]
+        rc = main(args + ["--out", str(ws / "synth.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (ws / "synth.txt").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config_file(self, ws, capsys):
@@ -737,3 +766,19 @@ class TestConfigFile:
         model = train_model(ws)
         rc = main(["eval", str(ws / "train.txt"), "--model", model, "--threshold", "1.5"])
         assert rc == 2
+
+    def test_values_take_each_field_s_default_type(self):
+        # the same fields annotated with classes, as they are without
+        # postponed evaluation of annotations
+        plain = dataclasses.make_dataclass(
+            "PlainRunConfig",
+            [(f.name, type(f.default), f.default) for f in dataclasses.fields(RunConfig)],
+            bases=(RunConfig,),
+        )
+        for cls in (RunConfig, plain):
+            cfg = cls()
+            cfg.update_from_text("k_lex = 2\nlevels = 3\nmode = viterbi\nseed = -3\n")
+            assert (cfg.k_lex, cfg.levels, cfg.mode, cfg.seed) == (2.0, 3, "viterbi", -3)
+            assert type(cfg.k_lex) is float and type(cfg.levels) is int
+            with pytest.raises(ConfigError, match=r"^run.cfg:2: bad value '1.5' for levels$"):
+                cfg.update_from_text("\nlevels = 1.5\n", source="run.cfg")

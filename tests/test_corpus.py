@@ -86,7 +86,7 @@ class TestAnnotated:
         assert format_annotated(parse_annotated(format_annotated(sents), ts)) == text
 
     def test_sentence_invariants(self, ts):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty sentence$"):
             AnnotatedSentence([], [])
         with pytest.raises(ValueError):
             AnnotatedSentence([Token("a")], [])

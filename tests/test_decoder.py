@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import tracemalloc
@@ -19,15 +20,14 @@ from ambitag.decoder import (
     backward,
     build_lattice,
     cohorts_for_tokens,
+    decode_corpus,
     decode_sentence,
-    decode_sentences,
     forward,
     primary_ids,
     state_posteriors,
     viterbi,
 )
 from ambitag.errors import DeadLatticeError
-from ambitag.evalstats import decode_corpus
 from ambitag.lexicon import LexicalModel, SmoothingConfig
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
@@ -449,6 +449,17 @@ class TestLatticeBlocks:
         assert peak < 3 * block_bytes
 
 
+@functools.lru_cache(maxsize=None)
+def sparse_models(seed: int, support_epsilon: float):
+    """A synthetic HMM and models trained on its sample, with a lexicon that
+    drops low-mass candidates: words have one to a few candidates, and the
+    sets differ within most sentences, as sparse-83's lexicon gives them."""
+    hmm = build_synthetic_hmm(n_tags=6, vocab=80, seed=seed, mean_len=4.0, ambiguous_frac=0.5)
+    train = sample_corpus(hmm, 1500, seed=seed + 10)
+    lex = LexicalModel.train(train, hmm.tagset, SmoothingConfig(support_epsilon=support_epsilon))
+    return hmm, lex, TransitionModel.train(train, hmm.tagset)
+
+
 def assert_same_decode(got, want):
     """Equal to the last bit: posteriors, likelihood and Viterbi path."""
     assert got.cohorts == want.cohorts
@@ -490,26 +501,43 @@ class TestBatchedDecode:
             if len(cohorts) <= 5:
                 TestAgainstEnumeration()._check(lex, trans, cohorts, got)
 
-    @given(st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 300))
+    @given(
+        st.integers(0, 2),
+        st.sampled_from([0.01, 0.2]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 80),
+        st.booleans(),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_mixed_cohorts_equal_one_sentence_at_a_time(self, seed, draw_seed, with_viterbi, cap):
-        lex, trans = models(seed)
-        rng = random.Random(draw_seed)
-        word_tags = list(TS.word_tags())
-        narrow = [rng.sample(word_tags, rng.randint(1, 4)) for _ in range(3)]
-        sentences = []
-        for _ in range(rng.randint(1, 10)):
-            sets = [rng.choice(narrow + [word_tags])] * 3 + narrow  # mostly one set per sentence
-            shared = rng.random() < 0.7
-            first = rng.choice(sets)
-            sentences.append([
-                Cohort(Token(rng.choice(VOCAB)), first if shared else rng.choice(sets))
-                for _ in range(rng.randint(1, 12))
-            ])
-        with mock.patch.object(decoder, "BATCH_CELLS", cap):
-            batched = decode_sentences(lex, trans, sentences, with_viterbi)
-        for cohorts, got in zip(sentences, batched, strict=True):
-            assert_same_decode(got, decode_sentence(lex, trans, cohorts, with_viterbi))
+    def test_mixed_cohorts_equal_one_sentence_at_a_time(
+        self, seed, support_epsilon, draw_seed, words, with_viterbi
+    ):
+        hmm, lex, trans = sparse_models(seed, support_epsilon)
+        corpus = sample_corpus(hmm, words, seed=draw_seed, max_sentence_len=12)
+        want = [
+            decode_sentence(lex, trans, cohorts_for_tokens(lex, sent.tokens), with_viterbi)
+            for sent in corpus
+        ]
+        for cap in (1, 40, 300, decoder.BATCH_CELLS):
+            with mock.patch.object(decoder, "BATCH_CELLS", cap):
+                batched = decode_corpus(lex, trans, corpus, with_viterbi)
+            for got, one in zip(batched, want, strict=True):
+                assert_same_decode(got, one)
+
+    def test_sparse_lexicons_mix_batched_and_lone_sentences(self):
+        for seed in range(3):
+            for support_epsilon in (0.01, 0.2):
+                hmm, lex, _ = sparse_models(seed, support_epsilon)
+                corpus = sample_corpus(hmm, 300, seed=99, max_sentence_len=12)
+                columns = [
+                    [decoder.Column(lex, c) for c in cohorts_for_tokens(lex, sent.tokens)]
+                    for sent in corpus
+                ]
+                sizes = {len(col.ids) for row in columns for col in row}
+                batches = decoder._batches(columns)
+                assert len(sizes) > 1
+                assert any(len(batch) > 1 for batch in batches)
+                assert any(len({tuple(col.ids) for col in columns[b[0]]}) > 1 for b in batches)
 
     def test_one_forward_call_per_batch(self, monkeypatch):
         hmm = build_synthetic_hmm(n_tags=10, vocab=200, seed=1)
@@ -583,34 +611,19 @@ class TestBatchErrors:
                     decode_corpus(lex, trans, corpus, with_viterbi)
 
     def test_the_earlier_sentence_raises_though_a_later_one_dies_sooner(self):
-        # lexicon scores decide where each sentence dies: "bb" has no mass on A
-        corpus = [
-            AnnotatedSentence([Token("aa")], [TS.tag("A")]),
-            AnnotatedSentence([Token("bb")], [TS.tag("B")]),
-        ]
-        lex = LexicalModel.train(corpus, TS, SmoothingConfig(k=0.0, class_mix=0.0))
-        trans = TransitionModel.train(corpus, TS)
-        a = [TS.tag("A")]
-        sentences = [
-            [Cohort(Token(w), a) for w in ("aa", "aa")],
-            [Cohort(Token(w), a) for w in ("aa", "aa", "bb")],
-            [Cohort(Token(w), a) for w in ("aa", "bb", "aa", "aa")],
-        ]
+        # "aa aa cc" (every word A) dies at its third word, since A never
+        # follows A A; "bb aa" (B then A) dies at its second word and,
+        # having two candidate sets, is a batch of its own decoded first
+        train = self.gold("aa aa", "cc")
+        train.append(AnnotatedSentence([Token("bb")], [TS.tag("B")]))
+        lex = LexicalModel.train(train, TS, SmoothingConfig(k=0.0, class_mix=0.0))
+        trans = TransitionModel.train(train, TS, k=0.0)
+        corpus = self.gold("aa aa", "aa aa cc")
+        corpus.append(AnnotatedSentence([Token("bb"), Token("aa")], [TS.tag("B"), TS.tag("A")]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 3 \('bb'\)"):
-                decode_sentences(lex, trans, sentences)
-            with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 2 \('bb'\)"):
-                decode_sentences(lex, trans, sentences[:1] + sentences[2:])
-        assert decode_sentences(lex, trans, sentences[:1])[0].posteriors == [{0: 1.0}] * 2
-
-    def test_an_empty_sentence_raises_in_corpus_order(self):
-        lex, trans = self._dead_after_one_word()
-        a = [TS.tag("A")]
-        ok, dead = [Cohort(Token("ok"), a)], [Cohort(Token(w), a) for w in ("pp", "qq")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeadLatticeError, match=r"position 2 \('qq'\)"):
-                decode_sentences(lex, trans, [ok, dead, []])
-            with pytest.raises(ValueError, match="^empty sentence$"):
-                decode_sentences(lex, trans, [ok, [], dead])
+            with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 3 \('cc'\)"):
+                decode_corpus(lex, trans, corpus)
+            with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 2 \('aa'\)"):
+                decode_corpus(lex, trans, corpus[:1] + corpus[2:])
+        assert decode_corpus(lex, trans, corpus[:1])[0].posteriors == [{0: 1.0}] * 2

@@ -60,6 +60,13 @@ class TestGenerator:
             build_synthetic_hmm(n_tags=5, vocab=3)
         with pytest.raises(ConfigError):
             build_synthetic_hmm(mean_len=1.0)
+        with pytest.raises(ConfigError, match="^mean_len must exceed 1$"):
+            build_synthetic_hmm(mean_len=math.nan)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -2$"):
+            build_synthetic_hmm(seed=-2)
+        model = build_synthetic_hmm(n_tags=3, vocab=10)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            sample_corpus(model, 10, seed=-1)
 
 
 class TestSampling:
