@@ -13,11 +13,12 @@ import argparse
 import dataclasses
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import corpus as corpus_io
 from . import evalstats
 from .decoder import MODE_POSTERIOR, MODE_VITERBI, apply_threshold, decode_sentence
-from .errors import AmbitagError, ConfigError, DeadLatticeError, InputError
+from .errors import AmbitagError, ConfigError, CorpusFormatError, DeadLatticeError, InputError
 from .lexicon import LexicalModel, SmoothingConfig
 from .modelfile import load_model, save_model
 from .ngram import TransitionModel
@@ -35,23 +36,21 @@ from .tagset import (
 
 @dataclass
 class RunConfig:
-    k_lex: float = 1.0
+    k_lex: float = SmoothingConfig.k
     k_trans: float = 1.0
-    levels: int = 2
-    cutoff: int = 3
-    known_threshold: int = 1
-    support_epsilon: float = 0.0
-    class_mix: float = 0.5
+    levels: int = SmoothingConfig.levels
+    cutoff: int = SmoothingConfig.cutoff
+    known_threshold: int = SmoothingConfig.known_threshold
+    support_epsilon: float = SmoothingConfig.support_epsilon
+    class_mix: float = SmoothingConfig.class_mix
     threshold: float = 1.0
     mode: str = MODE_POSTERIOR
     seed: int = 0
 
     def update_from_text(self, text: str, source: str = "<config>") -> None:
         kinds = {f.name: type(f.default) for f in dataclasses.fields(self)}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in chain.from_iterable(corpus_io.blocks(text)):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
             if "=" not in line:
                 raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
@@ -74,14 +73,10 @@ class RunConfig:
         self.smoothing()  # range-checks the lexical fields
 
     def smoothing(self) -> SmoothingConfig:
-        return SmoothingConfig(
-            k=self.k_lex,
-            known_lookup_levels=self.levels,
-            infrequent_cutoff=self.cutoff,
-            known_threshold=self.known_threshold,
-            support_epsilon=self.support_epsilon,
-            class_mix=self.class_mix,
-        )
+        return SmoothingConfig(**{
+            f.name: getattr(self, "k_lex" if f.name == "k" else f.name)
+            for f in dataclasses.fields(SmoothingConfig)
+        })
 
     def header(self) -> str:
         pairs = " ".join(
@@ -115,6 +110,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     tagset = _tagset_from_args(args)
     corpus = corpus_io.read_annotated(args.corpus, tagset)
+    if not corpus:
+        raise CorpusFormatError(f"{args.corpus}: no sentences to train on")
     lex = LexicalModel.train(corpus, tagset, cfg.smoothing())
     trans = TransitionModel.train(corpus, tagset, cfg.k_trans)
     save_model(args.model, lex, trans)

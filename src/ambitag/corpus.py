@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .errors import ConfigError, CorpusFormatError, InputError, InsufficientCorpusError
 
@@ -43,10 +43,6 @@ def word_shape(surface: str) -> str:
 @dataclass(frozen=True)
 class Token:
     surface: str
-
-    @property
-    def shape(self) -> str:
-        return word_shape(self.surface)
 
 
 class _Tokens(dict):
@@ -109,45 +105,46 @@ def word_count(sentences: Iterable[AnnotatedSentence]) -> int:
     return sum(len(s) for s in sentences)
 
 
-def _content_lines(text: str):
-    """Yield (lineno, line) skipping full-line comments; blank lines kept."""
+def blocks(text: str) -> Iterator[list[tuple[int, str]]]:
+    """The (lineno, line) pairs of each run of lines between blank lines,
+    full-line "#" comments skipped; in a corpus, each run is a sentence."""
+    block: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.lstrip().startswith("#"):
-            continue
-        yield lineno, line
+        if not line.strip():
+            if block:
+                yield block
+                block = []
+        elif not line.lstrip().startswith("#"):
+            block.append((lineno, line))
+    if block:
+        yield block
 
 
 def parse_annotated(text: str, tagset: "TagSet", source: str = "<string>") -> list[AnnotatedSentence]:
     sentences: list[AnnotatedSentence] = []
-    tokens: list[Token] = []
-    gold: list["Tag"] = []
     shared, tags, lookup = _Tokens(), tagset.tags, tagset.lookup
-
-    for lineno, line in _content_lines(text):
-        if not line.strip():
-            if tokens:
-                sentences.append(AnnotatedSentence(tokens, gold))
-                tokens, gold = [], []
-            continue
-        try:
-            surface, symbol = line.split("\t")
-        except ValueError:
-            raise CorpusFormatError(
-                f"{source}:{lineno}: expected 'surface<TAB>TAG', got {line!r}"
-            ) from None
-        symbol = symbol.strip()
-        index = lookup.get(symbol)
-        if index is None or not surface:  # a tag symbol is never empty or spaced
-            if not surface or not symbol:
-                raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
-            if " " in symbol:
+    for block in blocks(text):
+        tokens: list[Token] = []
+        gold: list["Tag"] = []
+        for lineno, line in block:
+            try:
+                surface, symbol = line.split("\t")
+            except ValueError:
                 raise CorpusFormatError(
-                    f"{source}:{lineno}: one tag per token expected, got {symbol!r}"
-                )
-            raise CorpusFormatError(f"{source}:{lineno}: unknown tag symbol {symbol!r}")
-        tokens.append(shared[surface])
-        gold.append(tags[index])
-    if tokens:
+                    f"{source}:{lineno}: expected 'surface<TAB>TAG', got {line!r}"
+                ) from None
+            symbol = symbol.strip()
+            index = lookup.get(symbol)
+            if index is None or not surface:  # a tag symbol is never empty or spaced
+                if not surface or not symbol:
+                    raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
+                if " " in symbol:
+                    raise CorpusFormatError(
+                        f"{source}:{lineno}: one tag per token expected, got {symbol!r}"
+                    )
+                raise CorpusFormatError(f"{source}:{lineno}: unknown tag symbol {symbol!r}")
+            tokens.append(shared[surface])
+            gold.append(tags[index])
         sentences.append(AnnotatedSentence(tokens, gold))
     return sentences
 
@@ -171,31 +168,25 @@ def write_annotated(sentences: Iterable[AnnotatedSentence], out: str | TextIO) -
 
 def parse_cohorts(text: str, tagset: "TagSet", source: str = "<string>") -> list[list[Cohort]]:
     sentences: list[list[Cohort]] = []
-    current: list[Cohort] = []
     shared, tags, lookup = _Tokens(), tagset.tags, tagset.lookup
-
-    for lineno, line in _content_lines(text):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[1].split():
-            raise CorpusFormatError(
-                f"{source}:{lineno}: expected 'surface<TAB>TAG( TAG)*', got {line!r}"
-            )
-        if not fields[0]:
-            raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
-        try:
-            # a repeated symbol keeps its first place
-            candidates = [tags[lookup[s]] for s in dict.fromkeys(fields[1].split())]
-        except KeyError as exc:
-            raise CorpusFormatError(
-                f"{source}:{lineno}: unknown tag symbol {exc.args[0]!r}"
-            ) from None
-        current.append(Cohort(shared[fields[0]], candidates))
-    if current:
+    for block in blocks(text):
+        current: list[Cohort] = []
+        for lineno, line in block:
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[1].split():
+                raise CorpusFormatError(
+                    f"{source}:{lineno}: expected 'surface<TAB>TAG( TAG)*', got {line!r}"
+                )
+            if not fields[0]:
+                raise CorpusFormatError(f"{source}:{lineno}: empty field in {line!r}")
+            try:
+                # a repeated symbol keeps its first place
+                candidates = [tags[lookup[s]] for s in dict.fromkeys(fields[1].split())]
+            except KeyError as exc:
+                raise CorpusFormatError(
+                    f"{source}:{lineno}: unknown tag symbol {exc.args[0]!r}"
+                ) from None
+            current.append(Cohort(shared[fields[0]], candidates))
         sentences.append(current)
     return sentences
 

@@ -42,8 +42,8 @@ _index = attrgetter("index")
 @dataclass
 class SmoothingConfig:
     k: float = 1.0  # blend strength toward the parent distribution
-    known_lookup_levels: int = 2  # branching points consulted above a known word
-    infrequent_cutoff: int = 3  # max count for the infrequent-word class
+    levels: int = 2  # branching points consulted above a known word
+    cutoff: int = 3  # max count for the infrequent-word class
     known_threshold: int = 1  # min count for a surface to count as known
     support_epsilon: float = 0.0  # candidate tags need blended mass > epsilon
     class_mix: float = 0.5  # weight of the shape-class distribution for unknowns
@@ -51,10 +51,10 @@ class SmoothingConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.k < math.inf:
             raise ConfigError(f"blend strength must be finite and >= 0, got {self.k}")
-        if self.known_lookup_levels < 0:
-            raise ConfigError("known_lookup_levels must be >= 0")
-        if self.infrequent_cutoff < 0:
-            raise ConfigError("infrequent_cutoff must be >= 0")
+        if self.levels < 0:
+            raise ConfigError("levels must be >= 0")
+        if self.cutoff < 0:
+            raise ConfigError("cutoff must be >= 0")
         if self.known_threshold < 1:
             raise ConfigError("known_threshold must be >= 1")
         if not 0.0 <= self.support_epsilon < 1.0:
@@ -204,7 +204,6 @@ class LexicalModel:
         cap = np.zeros(n)
         allcaps = np.zeros(n)
         infreq = np.zeros(n)
-        cutoff = config.infrequent_cutoff
         for surface, counts in surface_tags.items():
             shape = word_shape(surface)
             total = sum(counts.values())
@@ -213,7 +212,7 @@ class LexicalModel:
                     cap[t] += c
                 elif shape == SHAPE_ALL_CAPS:
                     allcaps[t] += c
-                if total <= cutoff:
+                if total <= config.cutoff:
                     infreq[t] += c
         infreq_dist = infreq / infreq.sum() if infreq.sum() > 0 else _anchor(priors, word_idx)
         class_dists = {
@@ -248,12 +247,12 @@ class LexicalModel:
         return path
 
     def _branching_ancestors(self, surface: str) -> list[dict[int, int]]:
-        """The counts of the nearest `known_lookup_levels` strict suffixes of
+        """The counts of the nearest `levels` strict suffixes of
         a known surface that branch, shortest first; a suffix branches when
         two or more table suffixes extend it by one character or when it is
         itself a surface."""
         found = []
-        levels = self.config.known_lookup_levels
+        levels = self.config.levels
         n = len(surface)
         for d in range(n - 1, -1, -1):
             if len(found) == levels:
@@ -306,12 +305,12 @@ class LexicalModel:
         smaller index) is kept alone, so a cohort is never empty.
         """
         v = self._dist_vector(surface)
-        eps = self.config.support_epsilon
-        idx = [i for i in range(len(v)) if v[i] > eps]
-        idx.sort(key=lambda i: (-v[i], i))
-        if not idx:
-            idx = [int(np.argmax(v))]  # first maximum = smallest index
-        return [self.tagset.by_index(i) for i in idx]
+        idx = np.flatnonzero(v > self.config.support_epsilon)
+        if not idx.size:
+            idx = np.argmax(v, keepdims=True)  # first maximum = smallest index
+        tags = self.tagset.tags
+        # a stable sort keeps ties in index order
+        return [tags[i] for i in idx[np.argsort(-v[idx], kind="stable")].tolist()]
 
     def is_known(self, surface: str) -> bool:
         if surface in self.punct_table:

@@ -5,11 +5,15 @@ priors, shape-class distributions, punctuation table, depth-first trie
 dump) followed by an ``ambitag-trans v1`` section (blend strength and raw
 trigram counts; the blended probabilities are derived from them on load).
 Floats are written with repr() so reloading is exact and re-serialization
-is byte-identical.  The trie section is written from the lexicon's surface
-table, one line per node of the reversed surfaces' trie, and read back
-into that table; no trie is kept, the lexicon indexes it by suffix.  Trigram
-lines are written sorted and distinct, trie lines once per node and
-punct-table lines once per surface; on load, repeated trigrams, trie
+is byte-identical.  The lexicon's ``config`` line holds ``name value`` for
+each `SmoothingConfig` field in order, the name's ``_`` written ``-`` and
+the value with str(), which is repr() for a float and plain for a numpy
+scalar.  The
+trie section is written from the lexicon's surface table, one line per
+node of the reversed surfaces' trie, and read back into that table; no
+trie is kept, the lexicon indexes it by suffix.  Trigram lines are written
+sorted and distinct, trie lines once per node and punct-table lines once
+per surface; on load, repeated trigrams, trie
 surfaces, punct-table surfaces and tags on one line all sum.  A trie line
 with neither counts nor children, or a punct-table line with no counts, is
 rejected.  Every count is a positive integer below 2^63, and so is the sum
@@ -32,6 +36,7 @@ every file alike and every error keeps its message and line number.
 
 from __future__ import annotations
 
+import dataclasses
 from os.path import commonprefix
 from typing import TextIO
 
@@ -97,19 +102,13 @@ def _dist_lines(header: str, vec: np.ndarray, symbols: list[str]) -> list[str]:
 
 def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
     symbols = [t.symbol for t in lex.tagset]
-    cfg = lex.config
     lines = [LEX_HEADER]
     lines.append(f"tags {len(symbols)}")
     lines += symbols
-    lines.append(
-        "config"
-        f" k {cfg.k!r}"
-        f" levels {cfg.known_lookup_levels}"
-        f" cutoff {cfg.infrequent_cutoff}"
-        f" known-threshold {cfg.known_threshold}"
-        f" support-epsilon {cfg.support_epsilon!r}"
-        f" class-mix {cfg.class_mix!r}"
-    )
+    lines.append("config" + "".join(
+        f" {f.name.replace('_', '-')} {getattr(lex.config, f.name)}"
+        for f in dataclasses.fields(SmoothingConfig)
+    ))
     lines += _dist_lines("priors word", lex.priors, symbols)
     lines += _dist_lines("priors punct", lex.punct_priors, symbols)
     for name in ("capitalized", "all-caps", "infrequent"):
@@ -227,14 +226,10 @@ def _read_config(lines: _Lines) -> SmoothingConfig:
     fields = lines.expect("config ").split()
     opts = dict(zip(fields[0::2], fields[1::2]))
     try:
-        return SmoothingConfig(
-            k=float(opts["k"]),
-            known_lookup_levels=int(opts["levels"]),
-            infrequent_cutoff=int(opts["cutoff"]),
-            known_threshold=int(opts["known-threshold"]),
-            support_epsilon=float(opts["support-epsilon"]),
-            class_mix=float(opts["class-mix"]),
-        )
+        return SmoothingConfig(**{
+            f.name: type(f.default)(opts[f.name.replace("_", "-")])
+            for f in dataclasses.fields(SmoothingConfig)
+        })
     except KeyError as exc:
         raise lines.error(f"config line missing field {exc}") from None
     except ValueError:

@@ -52,6 +52,8 @@ def build_synthetic_hmm(
         raise ConfigError("need at least 2 tags and vocab >= n_tags")
     if not mean_len > 1.0:  # NaN fails too
         raise ConfigError("mean_len must exceed 1")
+    if not 0.0 <= ambiguous_frac <= 1.0:
+        raise ConfigError(f"ambiguous_frac must be in [0, 1], got {ambiguous_frac}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     tagset = TagSet([f"T{i}" for i in range(n_tags)])
@@ -117,6 +119,8 @@ def sample_corpus(
     model: SyntheticHMM, n_words: int, seed: int, max_sentence_len: int = 80
 ) -> list[AnnotatedSentence]:
     """Sentences totalling at least n_words (stops at a sentence boundary)."""
+    if n_words < 1:
+        raise ConfigError(f"n_words must be >= 1, got {n_words}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     n = model.n_tags

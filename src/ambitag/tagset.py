@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
-from .corpus import Cohort, Token, read_text
+from .corpus import Cohort, Token, blocks, read_text
 from .errors import ConversionError, RuleError, TagInventoryError
 
 WORD = "word"
@@ -90,10 +91,8 @@ class TagSet:
 
 def parse_tagset(text: str, source: str = "<string>") -> TagSet:
     symbols: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in chain.from_iterable(blocks(text)):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
             _check_symbol(line)
         except TagInventoryError as exc:
@@ -131,10 +130,8 @@ def _is_subcat(feature: str) -> bool:
 def parse_rules(text: str, tagset: TagSet, source: str = "<string>") -> list[ConversionRule]:
     rules: list[ConversionRule] = []
     by_pattern: dict[frozenset[str], ConversionRule] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in chain.from_iterable(blocks(text)):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if "->" not in line:
             raise RuleError(f"{source}:{lineno}: missing '->' in rule {line!r}")
         left, _, right = line.partition("->")
@@ -231,26 +228,17 @@ def parse_analysis_blocks(text: str, source: str = "<string>") -> list[list[tupl
     Returns sentences as lists of (token, readings) pairs.
     """
     sentences: list[list[tuple[str, list[list[str]]]]] = []
-    current: list[tuple[str, list[list[str]]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if line.lstrip().startswith("#"):
-            continue
-        if not line:
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        indented = line[0].isspace()
-        if not indented:
-            current.append((line.strip(), []))
-        else:
-            if not current:
+    for block in blocks(text):
+        current: list[tuple[str, list[list[str]]]] = []
+        for lineno, line in block:
+            if not line[0].isspace():
+                current.append((line.strip(), []))
+            elif not current:
                 raise ConversionError(
                     f"{source}:{lineno}: reading line before any token line"
                 )
-            current[-1][1].append(line.split())
-    if current:
+            else:
+                current[-1][1].append(line.split())
         sentences.append(current)
     for sent in sentences:
         for token, readings in sent:

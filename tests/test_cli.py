@@ -15,6 +15,7 @@ from ambitag import decoder
 from ambitag.cli import RunConfig, main
 from ambitag.corpus import parse_annotated, parse_cohorts, word_count
 from ambitag.errors import ConfigError
+from ambitag.lexicon import SmoothingConfig
 from ambitag.modelfile import load_model
 from ambitag.tagset import load_tagset
 
@@ -157,6 +158,25 @@ class TestTrain:
         )
         assert rc == 2
         assert capsys.readouterr().err == "error: tag inventory has no word tags\n"
+
+    @pytest.mark.parametrize(
+        "corpus, flags, message",
+        [
+            (TRAIN_TEXT, ["--levels", "-1"], "levels must be >= 0"),
+            ("# a comment, then blank lines\n\n\n", [], "{path}: no sentences to train on"),
+        ],
+        ids=["negative-levels", "no-sentences"],
+    )
+    def test_bad_training_run_is_exit_2(self, ws, capsys, corpus, flags, message):
+        path = ws / "corpus.txt"
+        path.write_text(corpus, encoding="utf-8")
+        rc = main(
+            ["train", str(path), "--tagset", str(ws / "inventory.tags"),
+             "--model", str(ws / "m.txt"), *flags]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not (ws / "m.txt").exists()
 
     def test_boundary_symbol_as_tag_is_exit_2(self, ws, capsys):
         (ws / "boundary.tags").write_text("N\n<s>\n@dot\n", encoding="utf-8")
@@ -342,8 +362,10 @@ class TestTag:
              "trie node has neither counts nor children"),
             ("priors word ", 0, lambda l: l.translate(ARABIC_INDIC_DIGITS),
              "bad section header"),
+            ("config ", 0, lambda l: l.replace(" levels 2 ", " levels -1 "),
+             "levels must be >= 0\n"),
         ],
-        ids=["trie-leaf-without-counts", "non-ascii-section-header"],
+        ids=["trie-leaf-without-counts", "non-ascii-section-header", "negative-levels"],
     )
     def test_malformed_model_line_is_exit_2(self, ws, capsys, command, prefix, offset, edit, message):
         model = ws / train_model(ws)
@@ -721,6 +743,9 @@ class TestGenSynth:
             (["--seed", "-2"], None),
             ([], "seed = -4\n"),
             (["--mean-len", "nan"], None),
+            (["--ambiguous-frac", "nan"], None),
+            (["--ambiguous-frac", "3"], None),
+            (["--words", "0"], None),
         ],
     )
     def test_bad_generator_values_are_exit_2(self, ws, capsys, flags, config):
@@ -766,6 +791,14 @@ class TestConfigFile:
         model = train_model(ws)
         rc = main(["eval", str(ws / "train.txt"), "--model", model, "--threshold", "1.5"])
         assert rc == 2
+
+    def test_defaults_are_smoothing_config_s(self, ws, capsys):
+        assert RunConfig().smoothing() == SmoothingConfig()
+        train_model(ws)
+        assert capsys.readouterr().out.splitlines(keepends=True)[0] == (
+            "# config: k_lex=1.0 k_trans=1.0 levels=2 cutoff=3 known_threshold=1"
+            " support_epsilon=0.0 class_mix=0.5 threshold=1.0 mode=posterior seed=0\n"
+        )
 
     def test_values_take_each_field_s_default_type(self):
         # the same fields annotated with classes, as they are without

@@ -44,13 +44,8 @@ class TestShape:
     def test_exhaustive_and_exclusive(self, s):
         assert word_shape(s) in {"lower", "capitalized", "all-caps", "other"}
 
-    def test_token_shape_derived(self):
-        assert Token("NATO").shape == "all-caps"
-        assert Token("x").shape == "lower"
-
     def test_token_holds_only_its_surface(self):
         assert [f.name for f in dataclasses.fields(Token)] == ["surface"]
-        assert isinstance(vars(Token)["shape"], property)
 
 
 class TestAnnotated:

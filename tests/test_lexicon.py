@@ -119,8 +119,8 @@ class TestTrainedKnownWord:
         # "walks" N 2x and "talks" V 6x share the suffix node for "-alks",
         # which branches; consulting it shifts mass toward V.
         text = "\n\n".join(["walks\tN"] * 2 + ["talks\tV"] * 6)
-        deep = _train(text, known_lookup_levels=2)
-        shallow = _train(text, known_lookup_levels=0)
+        deep = _train(text, levels=2)
+        shallow = _train(text, levels=0)
         v = TS_NV.tag("V").index
         assert shallow._dist_vector("walks")[v] == pytest.approx(0.5 / 3)
         assert deep._dist_vector("walks")[v] == pytest.approx(6.5 / 27)
@@ -171,7 +171,7 @@ class TestUnknownWord:
         model = _train(text)
         infreq = model.class_dists["infrequent"]
         assert infreq[TS_NV.tag("N").index] == 1.0
-        model = _train(text, infrequent_cutoff=1)
+        model = _train(text, cutoff=1)
         assert model.class_dists["infrequent"][TS_NV.tag("N").index] == 0.5
 
 
@@ -403,7 +403,7 @@ class TestTrieStructure:
     def test_known_lookups_match_the_oracle(self, seed, levels):
         corpus, ts = suffixed_corpus(seed)
         k = (0.5, 1.0, 2.5)[seed - 1]
-        model = LexicalModel.train(corpus, ts, SmoothingConfig(k=k, known_lookup_levels=levels))
+        model = LexicalModel.train(corpus, ts, SmoothingConfig(k=k, levels=levels))
         assert model.surfaces and not model.punct_table
         for surface in model.surfaces:
             want = known_word_dist(model.surfaces, model.priors, k, levels, surface)
@@ -494,7 +494,7 @@ class TestRecount:
     @pytest.mark.parametrize("case", CASES)
     def test_train_equals_a_per_token_recount(self, case, cutoff):
         corpus, ts = self.CASES[case]()
-        config = SmoothingConfig(infrequent_cutoff=cutoff)
+        config = SmoothingConfig(cutoff=cutoff)
         lex = LexicalModel.train(corpus, ts, config)
         want = recount_lexicon(corpus, ts, cutoff)
         assert np.array_equal(lex.priors, want["priors"])

@@ -72,7 +72,7 @@ class TestRoundTrip:
         assert dumps_model(lex2, trans2) == text
 
     def test_byte_identical_with_odd_config(self):
-        lex, trans = trained(k=0.37, known_lookup_levels=3, support_epsilon=0.001, class_mix=0.25)
+        lex, trans = trained(k=0.37, levels=3, support_epsilon=0.001, class_mix=0.25)
         text = dumps_model(lex, trans)
         assert dumps_model(*loads_model(text)) == text
 
@@ -364,6 +364,17 @@ class TestFormatErrors:
         text = self.dump().replace(" class-mix ", " classmix ", 1)
         with pytest.raises(ModelFormatError, match="config"):
             loads_model(text)
+
+    def test_numpy_scalar_settings_round_trip(self):
+        lex, trans = trained(k=np.float64(0.37), levels=np.int64(3))
+        text = dumps_model(lex, trans)
+        assert "\nconfig k 0.37 levels 3 cutoff 3 " in text
+        assert dumps_model(*loads_model(text)) == text
+
+    def test_config_line_names_its_first_missing_field(self):
+        bad, lineno = _mutated(self.dump(), "config ", 0, lambda l: l.replace(" levels 2 cutoff 3", ""))
+        with pytest.raises(ModelFormatError, match=f"^line {lineno}: config line missing field 'levels'$"):
+            loads_model(bad)
 
     def test_trie_depth_out_of_order(self):
         lines = self.dump().splitlines()
