@@ -18,10 +18,12 @@ from itertools import chain
 from . import corpus as corpus_io
 from . import evalstats
 from .decoder import MODE_POSTERIOR, MODE_VITERBI, apply_threshold, decode_sentence
-from .errors import AmbitagError, ConfigError, CorpusFormatError, DeadLatticeError, InputError
+from .errors import (
+    AmbitagError, ConfigError, CorpusFormatError, DeadLatticeError, InputError, check_blend_strength,
+)
 from .lexicon import LexicalModel, SmoothingConfig
 from .modelfile import load_model, save_model
-from .ngram import TransitionModel
+from .ngram import DEFAULT_K, TransitionModel
 from .synth import build_synthetic_hmm, sample_corpus
 from .tagset import (
     TagSet,
@@ -37,7 +39,7 @@ from .tagset import (
 @dataclass
 class RunConfig:
     k_lex: float = SmoothingConfig.k
-    k_trans: float = 1.0
+    k_trans: float = DEFAULT_K
     levels: int = SmoothingConfig.levels
     cutoff: int = SmoothingConfig.cutoff
     known_threshold: int = SmoothingConfig.known_threshold
@@ -70,7 +72,8 @@ class RunConfig:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.mode not in (MODE_POSTERIOR, MODE_VITERBI):
             raise ConfigError(f"mode must be posterior or viterbi, got {self.mode!r}")
-        self.smoothing()  # range-checks the lexical fields
+        check_blend_strength(self.k_trans)
+        self.smoothing()  # checks the lexical fields
 
     def smoothing(self) -> SmoothingConfig:
         return SmoothingConfig(**{

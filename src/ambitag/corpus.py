@@ -233,10 +233,16 @@ def split_for_learning_curve(
     target by at most one sentence.  Slices are prefixes of one seed-shuffled
     order, hence nested.
     """
+    if not sizes:
+        raise ConfigError("empty training size list")
+    if min(sizes) < 0:
+        raise ConfigError(f"training sizes must be >= 0, got {min(sizes)}")
     if any(b < a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(f"training sizes must be ascending, got {sizes}")
+    if eval_words < 1:
+        raise ConfigError(f"eval words must be >= 1, got {eval_words}")
     total = word_count(corpus)
-    need = eval_words + (max(sizes) if sizes else 0)
+    need = eval_words + max(sizes)
     if need > total:
         raise InsufficientCorpusError(
             f"corpus has {total} words, need {need} (deficit {need - total})"

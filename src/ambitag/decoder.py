@@ -22,6 +22,14 @@ batch; every other sentence is a batch of one.  Each sentence keeps its
 own scaling factors, and every sum runs in the order a batch of one runs
 it, so a batched decode equals the one-at-a-time decode to the last bit.
 
+Every position is reached by one step rule.  Step t is the transition
+block P[C_t-2, C_t-1, C_t] into position t, with the sentence boundary
+standing in for the positions before the first word, so step 0 is
+P[⊥, ⊥, C_0], shaped (1, 1, |C_0|).  The forward, backward and Viterbi
+passes start from a boundary state of ones (zeros in log space) and walk
+the steps [init, *tensors] in one loop; entry t is always the step into
+position t.
+
 A lattice gathers each distinct (previous, current, next) candidate-set
 triple's transition block once; every step with that triple shares the
 same read-only block.  When every tag is a candidate, all interior steps
@@ -72,10 +80,17 @@ class Lattice:
     # per position t: (sentences longer than t, 1, |C_t|), the batch's prefix,
     # shaped to scale the (sentences, |C_t-1|, |C_t|) tables
     aprime: list[np.ndarray]
-    init: np.ndarray  # P(c | boundary, boundary) over ids[0]
-    # step t->t+1: (|C_t-1|, |C_t|, |C_t+1|), read-only; steps with the same
-    # candidate-id triple reference one array
+    # The steps into each position, read-only; steps with the same
+    # candidate-id triple reference one array.  init is step 0, the block
+    # P[⊥, ⊥, C_0] shaped (1, 1, |C_0|); tensors[t - 1] is step t, shaped
+    # (|C_t-2|, |C_t-1|, |C_t|), with 1 for the boundary before the first word.
+    init: np.ndarray
     tensors: list[np.ndarray]
+
+    @property
+    def steps(self) -> list[np.ndarray]:
+        """[init, *tensors]: entry t is the step into position t."""
+        return [self.init, *self.tensors]
 
 
 def build_lattice(
@@ -94,14 +109,12 @@ def build_lattice(
     if columns is None:
         columns = [[Column(lex, c) for c in cohorts] for cohorts in sentences]
     ids = [col.ids for col in columns[0]]
-    b = trans.space.boundary_id
-    init = trans.row(b, b).take(ids[0])
     n = trans.space.n_symbols
     pair_rows = trans.probs.reshape(n * n, n)  # row i * n + j is P[i, j, :]
     blocks: dict[tuple, np.ndarray] = {}  # lives for this lattice
-    tensors: list[np.ndarray] = []
-    keys = [tuple(i) for i in ids]
-    for key in zip([(b,)] + keys[:-2], keys, keys[1:]):
+    steps: list[np.ndarray] = []
+    keys = [(trans.space.boundary_id,)] * 2 + [tuple(i) for i in ids]
+    for key in zip(keys, keys[1:], keys[2:]):
         block = blocks.get(key)
         if block is None:
             # Two index arrays rather than np.ix_'s three: numpy buffers each
@@ -111,7 +124,7 @@ def build_lattice(
             pairs = np.add.outer(np.multiply(prev, n), cur)
             block = blocks[key] = pair_rows[pairs[:, :, None], nxt]
             block.setflags(write=False)
-        tensors.append(block)
+        steps.append(block)
     for row in columns[1:]:
         if any(col.ids != want for col, want in zip(row, ids)):
             raise ValueError("the sentences of a batch must share each position's candidates")
@@ -124,7 +137,7 @@ def build_lattice(
             aprime.append(columns[0][t].aprime[None, None])
         else:
             aprime.append(np.array([row[t].aprime for row in columns[:active]])[:, None, :])
-    return Lattice(list(sentences), ids, aprime, init, tensors)
+    return Lattice(list(sentences), ids, aprime, steps[0], steps[1:])
 
 
 def _dead_lattice(lattice: Lattice, row: int, t: int) -> DeadLatticeError:
@@ -142,16 +155,13 @@ def forward(lattice: Lattice) -> tuple[list[np.ndarray], list[np.ndarray]]:
     (sentences, 1, 1)."""
     alphas: list[np.ndarray] = []
     scales: list[np.ndarray] = []
-    for t, ap in enumerate(lattice.aprime):
-        if t == 0:
-            a = lattice.init * ap
-        else:
-            prev = alphas[t - 1]
-            if len(prev) > len(ap):  # the sentences that ended at t - 1 drop out
-                prev = prev[: len(ap)]
-            a = np.einsum("sab,abc->sbc", prev, lattice.tensors[t - 1]) * ap
+    a = np.ones((len(lattice.aprime[0]), 1, 1))  # the boundary state
+    for step, ap in zip(lattice.steps, lattice.aprime):
+        # the sentences that ended before t drop out of the batch's prefix
+        a = np.einsum("sab,abc->sbc", a[: len(ap)], step) * ap
         s = a.sum(axis=(1, 2), keepdims=True)
-        alphas.append(a / s)
+        a /= s
+        alphas.append(a)
         scales.append(s)
     dead = np.concatenate(scales) <= 0.0
     if dead.any():  # the first position where a sentence died, then its first row
@@ -166,17 +176,17 @@ def forward(lattice: Lattice) -> tuple[list[np.ndarray], list[np.ndarray]]:
 def backward(lattice: Lattice, scales: list[np.ndarray]) -> list[np.ndarray]:
     """Backward tables, shaped like the forward ones and scaled with the
     forward run's factors (shared scales); a sentence's last table is ones."""
-    T = len(lattice.aprime)
-    betas: list[np.ndarray] = [None] * T  # type: ignore[list-item]
+    steps = lattice.steps
+    betas: list[np.ndarray] = [None] * len(steps)  # type: ignore[list-item]
     going = 0  # sentences longer than t + 1
-    for t in range(T - 1, -1, -1):
+    for t in reversed(range(len(steps))):
         beta = None
         if going:
             weighted = betas[t + 1] * lattice.aprime[t + 1]
-            beta = np.einsum("abc,sbc->sab", lattice.tensors[t], weighted) / scales[t + 1]
+            beta = np.einsum("abc,sbc->sab", steps[t + 1], weighted) / scales[t + 1]
         ending = len(lattice.aprime[t]) - going  # sentences whose last word is at t
         if ending:
-            ones = np.ones((ending, len(lattice.ids[t - 1]) if t else 1, len(lattice.ids[t])))
+            ones = np.ones((ending,) + steps[t].shape[1:])
             beta = ones if beta is None else np.concatenate([beta, ones])
         betas[t] = beta
         going = len(lattice.aprime[t])
@@ -207,20 +217,13 @@ def viterbi(lattice: Lattice) -> tuple[list[list[int]], list[float]]:
     memory and copy nothing.  A step combines at most BATCH_CELLS scores at
     a time (or one sentence's), so its memory does not grow with the batch.
     """
-    T = len(lattice.aprime)
     log_blocks: dict[int, np.ndarray] = {}  # id(block) -> its log as (b, c, a)
-    score = np.log(lattice.init) + np.log(lattice.aprime[0])  # (s, a, b)
+    score = np.zeros((len(lattice.aprime[0]), 1, 1))  # the boundary state, log 1
     finals: list[np.ndarray] = [None] * len(lattice.cohorts)  # type: ignore[list-item]
     backptr: list[np.ndarray] = []
-    for t in range(1, T + 1):
-        best = score.max(axis=(1, 2))
-        if not np.isfinite(best).all():
-            raise _dead_lattice(lattice, int(np.argmin(np.isfinite(best))), t - 1)
-        going = len(lattice.aprime[t]) if t < T else 0
-        finals[going : len(score)] = score[going:]  # the sentences that end at t - 1
-        if not going:
-            break
-        block = lattice.tensors[t - 1]
+    for t, (block, ap) in enumerate(zip(lattice.steps, lattice.aprime)):
+        going = len(ap)
+        finals[going : len(score)] = score[going:]  # the sentences that ended at t - 1
         log_block = log_blocks.get(id(block))
         if log_block is None:
             log_block = block.transpose(1, 2, 0).copy()  # C order, writable
@@ -237,16 +240,19 @@ def viterbi(lattice: Lattice) -> tuple[list[list[int]], list[float]]:
             top[lo:hi] = combined.max(axis=3)
             del combined  # free it before the next slice builds its own
         backptr.append(back)
-        score = top + np.log(lattice.aprime[t])
+        score = top + np.log(ap)
+        best = score.max(axis=(1, 2))
+        if not np.isfinite(best).all():
+            raise _dead_lattice(lattice, int(np.argmin(np.isfinite(best))), t)
+    finals[: len(score)] = score
     paths, logps = [], []
     for row, (cohorts, final) in enumerate(zip(lattice.cohorts, finals)):
         flat = int(final.argmax())  # row-major first max = smallest state index
         prev_idx, cur_idx = divmod(flat, final.shape[1])
-        rev = [cur_idx]
-        for t in range(len(cohorts) - 1, 0, -1):
-            rev.append(prev_idx)
-            if t > 1:
-                prev_idx = int(backptr[t - 1][row, prev_idx, rev[-2]])
+        rev = []
+        for back in reversed(backptr[: len(cohorts)]):  # the step into each position
+            rev.append(cur_idx)
+            prev_idx, cur_idx = int(back[row, prev_idx, cur_idx]), prev_idx
         rev.reverse()
         paths.append([lattice.ids[t][j] for t, j in enumerate(rev)])
         logps.append(float(final.max()))
@@ -289,16 +295,11 @@ def _decode(lattice: Lattice, with_viterbi: bool) -> list[SentenceDecode]:
     del alphas, betas
     n = len(lattice.cohorts)
     paths, logps = viterbi(lattice) if with_viterbi else ([None] * n, [None] * n)
-    logs = np.log(np.concatenate(scales)).ravel().tolist()  # position by position
-    starts = [0]
+    logs = iter(np.log(np.concatenate(scales)).ravel().tolist())  # position by position
+    log_likelihood = [0.0] * n  # summed left to right, one float at a time
     for s in scales:
-        starts.append(starts[-1] + len(s))
-    log_likelihood = []
-    for row, cohorts in enumerate(lattice.cohorts):
-        total = 0.0  # summed left to right, one float at a time
-        for start in starts[: len(cohorts)]:
-            total += logs[start + row]
-        log_likelihood.append(total)
+        for row in range(len(s)):
+            log_likelihood[row] += next(logs)
     return [
         SentenceDecode(
             cohorts=cohorts,

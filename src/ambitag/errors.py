@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one range check
+that more than one setting shares.
 
 InputError and its subclasses mark problems with user-supplied data
 (files, flags, tag symbols, a model file whose priors do not cover its
@@ -57,3 +58,10 @@ class InsufficientCorpusError(InputError):
 
 class DeadLatticeError(AmbitagError):
     """Every path through a sentence lattice has probability zero."""
+
+
+def check_blend_strength(k: float) -> None:
+    """Raise ConfigError unless `k`, a lexical or transition blend strength,
+    is finite and >= 0."""
+    if not 0.0 <= k < float("inf"):
+        raise ConfigError(f"blend strength must be finite and >= 0, got {k}")

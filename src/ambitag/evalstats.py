@@ -29,7 +29,7 @@ from .decoder import (
 )
 from .errors import InputError
 from .lexicon import LexicalModel, SmoothingConfig
-from .ngram import TransitionModel
+from .ngram import DEFAULT_K, TransitionModel
 from .tagset import TagSet
 
 
@@ -177,7 +177,7 @@ def learning_curve(
     seed: int,
     tagset: TagSet,
     lex_config: SmoothingConfig | None = None,
-    k_trans: float = 1.0,
+    k_trans: float = DEFAULT_K,
     mode: str = MODE_POSTERIOR,
 ) -> list[tuple[int, float]]:
     eval_slice, slices = split_for_learning_curve(corpus, sizes, eval_words, seed)

@@ -17,11 +17,11 @@ bypass the index entirely (exact-match table).
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
+from numbers import Integral
 from operator import attrgetter
 
 import numpy as np
@@ -32,7 +32,7 @@ from .corpus import (
     AnnotatedSentence,
     word_shape,
 )
-from .errors import ConfigError, InputError, TagInventoryError, ZeroPriorError
+from .errors import ConfigError, InputError, TagInventoryError, ZeroPriorError, check_blend_strength
 from .tagset import Tag, TagSet
 
 _surface = attrgetter("surface")
@@ -49,8 +49,12 @@ class SmoothingConfig:
     class_mix: float = 0.5  # weight of the shape-class distribution for unknowns
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.k < math.inf:
-            raise ConfigError(f"blend strength must be finite and >= 0, got {self.k}")
+        check_blend_strength(self.k)
+        for f in fields(self):  # a model file can hold only an integer here
+            value = getattr(self, f.name)
+            integral = isinstance(value, Integral) and not isinstance(value, bool)
+            if type(f.default) is int and not integral:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.levels < 0:
             raise ConfigError("levels must be >= 0")
         if self.cutoff < 0:

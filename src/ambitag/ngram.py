@@ -16,7 +16,6 @@ counts: repeated windows sum, so all counts together must stay below 2^63.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
@@ -25,10 +24,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import AnnotatedSentence
-from .errors import ConfigError, TagInventoryError
+from .errors import TagInventoryError, check_blend_strength
 from .tagset import TagSet
 
 BOUNDARY = "<s>"
+DEFAULT_K = 1.0  # the transition blend strength unless one is given
 
 _index = attrgetter("index")
 
@@ -66,7 +66,7 @@ class TransitionModel:
     def __init__(
         self,
         tagset: TagSet,
-        k: float = 1.0,
+        k: float = DEFAULT_K,
         windows: np.typing.ArrayLike = (),
         weights: np.typing.ArrayLike | None = None,
     ):
@@ -78,8 +78,7 @@ class TransitionModel:
         distinct and ascending, with one weight each, as a model file holds
         them, are kept as given: arrays of the id type and int64 are not
         copied."""
-        if not 0.0 <= k < math.inf:
-            raise ConfigError(f"blend strength must be finite and >= 0, got {k}")
+        check_blend_strength(k)
         self.space = StateSpace(tagset)
         self.k = float(k)
         shape = (self.space.n_symbols,) * 3
@@ -102,7 +101,7 @@ class TransitionModel:
 
     @classmethod
     def train(
-        cls, corpus: list[AnnotatedSentence], tagset: TagSet, k: float = 1.0
+        cls, corpus: list[AnnotatedSentence], tagset: TagSet, k: float = DEFAULT_K
     ) -> "TransitionModel":
         # The corpus as one id sequence: ⊥, then ⊥ ⊥ t1 .. tn per sentence,
         # then ⊥ ⊥, read as overlapping windows without a copy.  A sentence's
@@ -130,7 +129,3 @@ class TransitionModel:
             p = _blend(level, p, self.k)
         p.setflags(write=False)
         return p
-
-    def row(self, a: int, bb: int) -> np.ndarray:
-        """P(next symbol | previous two symbols a, b) over the alphabet."""
-        return self.probs[a, bb]

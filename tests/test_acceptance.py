@@ -209,7 +209,7 @@ def test_c8_normalization_and_round_trip(synth_10k):
             assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         for a in range(n + 1):
             for b in range(n + 1):
-                assert tr.row(a, b).sum() == pytest.approx(1.0, abs=1e-9)
+                assert tr.probs[a, b].sum() == pytest.approx(1.0, abs=1e-9)
         assert dumps_model(*loads_model(dumps_model(lx, tr))) == dumps_model(lx, tr)
     surfaces = [s.tokens[0].surface for s in corpus[:40]] + ["zzqq", "Unseen", "UPPERX"]
     for surface in surfaces:

@@ -632,6 +632,22 @@ class TestCurve:
         assert rc == 2
         assert "deficit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sizes", ""], "empty training size list"),
+            (["--sizes=-100,200"], "training sizes must be >= 0, got -100"),
+            (["--sizes", "4", "--eval-words", "-5"], "eval words must be >= 1, got -5"),
+        ],
+    )
+    def test_bad_sizes_are_exit_2(self, ws, capsys, flags, message):
+        rc = main(
+            ["curve", str(ws / "train.txt"), "--tagset", str(ws / "inventory.tags"),
+             "--eval-words", "6", *flags]
+        )
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestAgree:
     def test_summary_form_prints_frozen_critical_rate(self, ws, capsys):
@@ -760,7 +776,29 @@ class TestGenSynth:
         assert not (ws / "synth.txt").exists()
 
 
+K_TRANS_COMMANDS = {  # each command that reads k_trans from a config file
+    "train": "train {ws}/train.txt --tagset {ws}/inventory.tags --model {ws}/m2.txt",
+    "tag": "tag {ws}/input.cohorts --model {model}",
+    "eval": "eval {ws}/train.txt --model {model}",
+    "sweep": "sweep {ws}/train.txt --model {model}",
+    "curve": "curve {ws}/train.txt --tagset {ws}/inventory.tags --sizes 4 --eval-words 6",
+}
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("command", K_TRANS_COMMANDS)
+    def test_bad_k_trans_is_exit_2_before_any_input(self, ws, capsys, command, value):
+        model = train_model(ws)
+        capsys.readouterr()  # drop the training report
+        (ws / "run.cfg").write_text(f"k_trans = {value}\n", encoding="utf-8")
+        argv = K_TRANS_COMMANDS[command].format(ws=ws, model=model).split()
+        assert main([*argv, "--config", str(ws / "run.cfg")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: blend strength must be finite and >= 0, got {float(value)}\n"
+        )
+        assert not (ws / "m2.txt").exists()
+
     def test_flags_override_config_file(self, ws, capsys):
         model = train_model(ws)
         capsys.readouterr()  # drop the training report

@@ -21,7 +21,7 @@ from ambitag.corpus import (
     word_count,
     word_shape,
 )
-from ambitag.errors import CorpusFormatError, InputError, InsufficientCorpusError
+from ambitag.errors import ConfigError, CorpusFormatError, InputError, InsufficientCorpusError
 from ambitag.tagset import parse_tagset
 
 
@@ -226,6 +226,19 @@ class TestSplits:
         corpus = _mk_corpus(ts, 4, 5)
         _, slices = split_for_learning_curve(corpus, [0], 10, seed=0)
         assert slices[0] == []
+
+    @pytest.mark.parametrize(
+        "sizes, eval_words, message",
+        [
+            ([], 10, "empty training size list"),
+            ([-5, 10], 10, "training sizes must be >= 0, got -5"),
+            ([10], 0, "eval words must be >= 1, got 0"),
+            ([10], -5, "eval words must be >= 1, got -5"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, ts, sizes, eval_words, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            split_for_learning_curve(_mk_corpus(ts, 10, 5), sizes, eval_words, seed=0)
 
     def test_insufficient_corpus_reports_deficit(self, ts):
         corpus = _mk_corpus(ts, 4, 5)  # 20 words

@@ -165,9 +165,9 @@ class TestInvariances:
         decode = decode_sentence(lex, trans, cohorts)
         bid = trans.space.boundary_id
         want = (
-            math.log(trans.row(bid, bid)[a.index])
+            math.log(trans.probs[bid, bid, a.index])
             + math.log(lex.converse_lexical_probs("wa", [a.index])[0])
-            + math.log(trans.row(bid, a.index)[b.index])
+            + math.log(trans.probs[bid, a.index, b.index])
             + math.log(lex.converse_lexical_probs("wb", [b.index])[0])
         )
         assert decode.log_likelihood == pytest.approx(want, rel=1e-12)
@@ -410,8 +410,23 @@ class TestLatticeBlocks:
             for t, block in enumerate(lattice.tensors):
                 for i, a in enumerate(prev_ids[t]):
                     for j, bb in enumerate(lattice.ids[t]):
-                        assert np.array_equal(block[i, j], trans.row(a, bb)[lattice.ids[t + 1]])
+                        assert np.array_equal(block[i, j], trans.probs[a, bb, lattice.ids[t + 1]])
                 assert not block.flags.writeable
+
+    def test_init_is_the_step_from_the_boundary(self):
+        sets = [slice(1, 4), slice(None), slice(0, 6, 2)]
+        lex, trans, cohorts = self._dense_inputs(n_tags=6, n_words=len(sets), sets=sets)
+        lattice = build_lattice(lex, trans, cohorts)
+        bid = trans.space.boundary_id
+        assert lattice.init.shape == (1, 1, 3)
+        assert np.array_equal(lattice.init, trans.probs[bid, bid, lattice.ids[0]][None, None])
+        assert not lattice.init.flags.writeable
+        steps = lattice.steps  # entry t is the step into position t
+        assert len(steps) == len(lattice.ids) == len(lattice.tensors) + 1
+        assert steps[0] is lattice.init
+        assert all(s is t for s, t in zip(steps[1:], lattice.tensors))
+        for t, step in enumerate(steps):
+            assert step.shape[1:] == ((len(lattice.ids[t - 1]) if t else 1), len(lattice.ids[t]))
 
     def test_dense_interior_steps_share_one_read_only_block(self):
         lattice, _ = self._dense_lattice()

@@ -306,6 +306,19 @@ class TestDegenerate:
         with pytest.raises(ConfigError):
             SmoothingConfig(known_threshold=0)
 
+    @pytest.mark.parametrize("field", ["levels", "cutoff", "known_threshold"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_count_fields_take_only_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            SmoothingConfig(**{field: value})
+
+    def test_numpy_integer_fields_save_as_plain_ones(self):
+        corpus = parse_annotated(WALK_CORPUS, TS_NV)
+        trans = TransitionModel.train(corpus, TS_NV)
+        config = SmoothingConfig(levels=np.int64(2), cutoff=np.int32(3), known_threshold=np.uint8(1))
+        text = dumps_model(LexicalModel.train(corpus, TS_NV, config), trans)
+        assert text == dumps_model(LexicalModel.train(corpus, TS_NV), trans)
+
 
 class TestCache:
     def test_unknown_surfaces_leave_the_cache_bounded(self):

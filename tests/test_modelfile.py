@@ -95,7 +95,7 @@ class TestRoundTrip:
             assert lex.candidate_tags(surface) == lex2.candidate_tags(surface)
         for a in range(len(TS) + 1):
             for b in range(len(TS) + 1):
-                assert np.array_equal(trans.row(a, b), trans2.row(a, b))
+                assert np.array_equal(trans.probs[a, b], trans2.probs[a, b])
         toks = [Token("walk"), Token("now"), Token(".")]
         d1 = decode_sentence(lex, trans, cohorts_for_tokens(lex, toks))
         d2 = decode_sentence(lex2, trans2, cohorts_for_tokens(lex2, toks))

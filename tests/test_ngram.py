@@ -185,7 +185,7 @@ class TestCounting:
         assert np.array_equal(m1.counts, m2.counts)
         for a in range(4):
             for bb in range(4):
-                assert np.array_equal(m1.row(a, bb), m2.row(a, bb))
+                assert np.array_equal(m1.probs[a, bb], m2.probs[a, bb])
 
 
 class TestBlending:
@@ -201,17 +201,17 @@ class TestBlending:
         model = _train(text, k=k)
         for a, bb, c in itertools.product(range(4), repeat=3):
             want = blended_transition_oracle(_text_counts(text), 4, k, a, bb, c)
-            assert model.row(a, bb)[c] == want  # same arithmetic, so bit for bit
+            assert model.probs[a, bb, c] == want  # same arithmetic, so bit for bit
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 10.0])
     def test_rows_sum_to_one(self, k):
         model = _train(self.CORPORA[1], k=k)
         for a in range(4):
             for bb in range(4):
-                assert model.row(a, bb).sum() == pytest.approx(1.0, abs=1e-12)
+                assert model.probs[a, bb].sum() == pytest.approx(1.0, abs=1e-12)
         # C never occurs in CORPORA[0], so context (C,C) falls through to the
         # unigram level
-        unigram = _train(self.CORPORA[0], k=k).row(2, 2)
+        unigram = _train(self.CORPORA[0], k=k).probs[2, 2]
         assert unigram.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_unseen_context_with_k_zero_falls_back(self):
@@ -219,19 +219,19 @@ class TestBlending:
         model = _train(text, k=0.0)
         # (A,A) never occurs: the row is the bigram level after A, and A is
         # only ever followed by B
-        assert np.array_equal(model.row(0, 0), [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(model.probs[0, 0], [0.0, 1.0, 0.0, 0.0])
         # symbol C never occurs at all: row equals raw unigram frequencies
         # (one window each ends in A, B and the boundary)
-        assert np.array_equal(model.row(2, 2), [1 / 3, 1 / 3, 0.0, 1 / 3])
+        assert np.array_equal(model.probs[2, 2], [1 / 3, 1 / 3, 0.0, 1 / 3])
         for a, bb in ((0, 0), (2, 2)):
             want = [blended_transition_oracle(_text_counts(text), 4, 0.0, a, bb, c) for c in range(4)]
-            assert np.array_equal(model.row(a, bb), want)
+            assert np.array_equal(model.probs[a, bb], want)
 
     def test_large_k_approaches_uniform(self):
         model = _train(self.CORPORA[1], k=1e9)
         for a in range(4):
             for bb in range(4):
-                assert model.row(a, bb) == pytest.approx(np.full(4, 0.25), abs=1e-6)
+                assert model.probs[a, bb] == pytest.approx(np.full(4, 0.25), abs=1e-6)
 
     def test_empty_corpus_is_uniform(self):
         for k in (0.0, 1.0):
@@ -245,7 +245,7 @@ class TestBlending:
             model = _train(text, k=k)
             # the oracle at a context outside the alphabet is the unigram level
             uni = [blended_transition_oracle(_text_counts(text), 4, k, -1, -1, c) for c in range(4)]
-            dists.append(np.abs(model.row(B, B) - uni).sum())
+            dists.append(np.abs(model.probs[B, B] - uni).sum())
         assert all(a >= b - 1e-15 for a, b in zip(dists, dists[1:]))
 
 
@@ -271,14 +271,13 @@ class TestDenseArray:
     def test_rows_are_read_only_views(self):
         model = _train(TestBlending.CORPORA[1])
         assert model.probs.shape == (4, 4, 4)
-        row = model.row(0, 1)
+        row = model.probs[0, 1]
         assert np.shares_memory(row, model.probs)
-        assert np.array_equal(row, model.probs[0, 1])
         with pytest.raises(ValueError):
             row[0] = 0.5
 
     def test_train_builds_no_array(self):
         model = _train(TestBlending.CORPORA[1])
         assert "probs" not in vars(model)
-        model.row(0, 0)
+        model.probs
         assert "probs" in vars(model)
