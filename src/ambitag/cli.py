@@ -4,7 +4,8 @@ Subcommands: train, tag, eval, sweep, curve, agree, convert, gen-synth.
 Exit codes: 0 success, 1 runtime failure (e.g. dead lattice), 2 invalid
 input or configuration.  Flags override values from an optional
 ``key = value`` config file; the effective configuration is echoed as a
-comment header in every report.
+comment header in every report.  `evalstats` and `synth` are imported by
+the commands that run them, so `train` and `tag` never load them.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from . import corpus as corpus_io
-from . import evalstats
 from .decoder import MODE_POSTERIOR, MODE_VITERBI, apply_threshold, decode_sentence
 from .errors import (
     AmbitagError, ConfigError, CorpusFormatError, DeadLatticeError, InputError, check_blend_strength,
@@ -24,7 +25,6 @@ from .errors import (
 from .lexicon import LexicalModel, SmoothingConfig
 from .modelfile import load_model, save_model
 from .ngram import DEFAULT_K, TransitionModel
-from .synth import build_synthetic_hmm, sample_corpus
 from .tagset import (
     TagSet,
     convert_cohort,
@@ -34,6 +34,9 @@ from .tagset import (
     load_tagset,
     parse_analysis_blocks,
 )
+
+if TYPE_CHECKING:
+    from . import evalstats
 
 
 @dataclass
@@ -72,8 +75,9 @@ class RunConfig:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.mode not in (MODE_POSTERIOR, MODE_VITERBI):
             raise ConfigError(f"mode must be posterior or viterbi, got {self.mode!r}")
-        check_blend_strength(self.k_trans)
-        self.smoothing()  # checks the lexical fields
+        check_blend_strength(self.k_trans, "k_trans")
+        check_blend_strength(self.k_lex, "k_lex")
+        self.smoothing()  # checks the other lexical fields
 
     def smoothing(self) -> SmoothingConfig:
         return SmoothingConfig(**{
@@ -173,6 +177,7 @@ def _report_text(cfg: RunConfig, rep: evalstats.EvalReport, fmt: str) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evalstats
     cfg = _config_from_args(args)
     lex, trans = load_model(args.model)
     gold = corpus_io.read_annotated(args.input, lex.tagset)
@@ -196,6 +201,7 @@ def _parse_thresholds(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import evalstats
     cfg = _config_from_args(args)
     lex, trans = load_model(args.model)
     gold = corpus_io.read_annotated(args.input, lex.tagset)
@@ -208,6 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from . import evalstats
     cfg = _config_from_args(args)
     tagset = _tagset_from_args(args)
     corpus = corpus_io.read_annotated(args.corpus, tagset)
@@ -232,6 +239,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_agree(args: argparse.Namespace) -> int:
+    from . import evalstats
     diffs = None
     if args.corpora:
         if len(args.corpora) != 2:
@@ -280,6 +288,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
+    from .synth import build_synthetic_hmm, sample_corpus
     cfg = _config_from_args(args)
     model = build_synthetic_hmm(
         n_tags=args.tags,

@@ -60,8 +60,8 @@ class DeadLatticeError(AmbitagError):
     """Every path through a sentence lattice has probability zero."""
 
 
-def check_blend_strength(k: float) -> None:
-    """Raise ConfigError unless `k`, a lexical or transition blend strength,
-    is finite and >= 0."""
+def check_blend_strength(k: float, name: str) -> None:
+    """Raise ConfigError unless `k`, the lexical or transition blend strength
+    that the setting `name` holds, is finite and >= 0."""
     if not 0.0 <= k < float("inf"):
-        raise ConfigError(f"blend strength must be finite and >= 0, got {k}")
+        raise ConfigError(f"blend strength {name} must be finite and >= 0, got {k}")

@@ -1,12 +1,16 @@
 """Suffix-indexed lexicon: smoothed P(tag | word) and the relative
 lexical scores P(tag | word) / P(tag) the decoder consumes.
 
-The surface table, {surface: {tag id: count}}, is the only store of the
-word counts; the model file writes it and reads it back.  A private
-suffix table, built from it once, maps every suffix of every surface, ""
-included, to the summed counts of the surfaces that end in it.  A
-suffix's distribution blends its counts with that of the suffix one
-character shorter, from a uniform anchor:
+The word counts, {surface: {tag id: count}}, are held once, as the arrays
+of a `SurfaceTable`: the surfaces spelt backwards in sorted order, which is
+the order the model file's trie section lists them in, and each one's tag
+ids and counts in CSR form.  The surfaces that end in a suffix are then one
+contiguous run of that order, found by bisection, and so is whether the
+suffix branches.  A suffix's counts are summed over its run the first time
+a lookup asks for them and cached per run, so the cache holds at most one
+entry per suffix of the model's own surfaces.  A suffix's distribution
+blends its counts with that of the suffix one character shorter, from a
+uniform anchor (TnT-style suffix smoothing):
 P_s(x) = (c(s,x) + k * P_shorter(x)) / (c(s) + k).  Known words blend
 their own counts with the nearest branching suffixes, those that two or
 more table suffixes extend by one character or that are themselves
@@ -18,11 +22,14 @@ bypass the index entirely (exact-match table).
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from itertools import chain
 from numbers import Integral
 from operator import attrgetter
+from os.path import commonprefix
 
 import numpy as np
 
@@ -49,12 +56,12 @@ class SmoothingConfig:
     class_mix: float = 0.5  # weight of the shape-class distribution for unknowns
 
     def __post_init__(self) -> None:
-        check_blend_strength(self.k)
-        for f in fields(self):  # a model file can hold only an integer here
+        for f in fields(self):  # a model file can hold only a number of the field's kind
             value = getattr(self, f.name)
-            integral = isinstance(value, Integral) and not isinstance(value, bool)
-            if type(f.default) is int and not integral:
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is int and not isinstance(value, Integral) or isinstance(value, (bool, np.bool_)):
+                kind = "an integer" if type(f.default) is int else "a real number"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        check_blend_strength(self.k, "k")
         if self.levels < 0:
             raise ConfigError("levels must be >= 0")
         if self.cutoff < 0:
@@ -65,6 +72,77 @@ class SmoothingConfig:
             raise ConfigError("support_epsilon must be in [0, 1)")
         if not 0.0 <= self.class_mix <= 1.0:
             raise ConfigError("class_mix must be in [0, 1]")
+
+
+def _check_counts(surface: str, counts: Mapping[int, int]) -> None:
+    if not counts or min(counts.values()) < 1 or max(counts.values()) >= 2**63:
+        raise InputError(f"surface {surface!r} needs counts, each a positive integer below 2^63")
+
+
+class SurfaceTable(Mapping):
+    """The word counts, a read-only {surface: {tag id: count}}, as arrays.
+
+    ``reversed`` holds each surface spelt backwards, in sorted order, so
+    that the surfaces ending in one suffix are one contiguous run of rows.
+    Row i's tag ids, ascending, are ``ids[starts[i]:starts[i + 1]]`` and its
+    counts the same slice of ``counts``: int64, or Python ints once all the
+    counts together reach 2^63, so that every sum over rows is exact.
+    ``rank`` gives each row's place in the order the surfaces were given,
+    None if that is the sorted order; the mapping iterates in that order.
+    """
+
+    def __init__(
+        self,
+        reversed_surfaces: list[str],
+        starts: list[int],
+        ids: list[int],
+        counts: list[int],
+        rank: list[int] | None = None,
+    ):
+        self.reversed = reversed_surfaces
+        self.starts = np.array(starts, np.intp)
+        self.ids = np.array(ids, np.intp)
+        self.counts = np.array(counts, np.int64 if sum(counts) < 2**63 else object)
+        self.rank = None if rank is None else np.array(rank, np.intp)
+
+    @classmethod
+    def from_dict(cls, surfaces: Mapping[str, Mapping[int, int]]) -> "SurfaceTable":
+        """As in a model file, no surface may be empty and each needs
+        counts, each a positive integer below 2^63."""
+        if "" in surfaces:
+            raise InputError("a word surface cannot be empty")
+        for surface, counts in surfaces.items():
+            _check_counts(surface, counts)
+        given = [surface[::-1] for surface in surfaces]
+        rank = sorted(range(len(given)), key=given.__getitem__)
+        rows = list(surfaces.values())
+        starts, ids, counts = [0], [], []
+        for i in rank:
+            tags = sorted(rows[i])
+            ids += tags
+            counts += [int(rows[i][t]) for t in tags]
+            starts.append(len(ids))
+        return cls([given[i] for i in rank], starts, ids, counts, rank)
+
+    def __len__(self) -> int:
+        return len(self.reversed)
+
+    def __iter__(self):
+        rows = range(len(self)) if self.rank is None else np.argsort(self.rank).tolist()
+        return (self.reversed[i][::-1] for i in rows)
+
+    def __getitem__(self, surface: str) -> dict[int, int]:
+        i = self.row(surface)
+        if i is None:
+            raise KeyError(surface)
+        a, b = self.starts[i], self.starts[i + 1]
+        return dict(zip(self.ids[a:b].tolist(), self.counts[a:b].tolist()))
+
+    def row(self, surface: str) -> int | None:
+        """The surface's row, or None if it is not in the table."""
+        rev = surface[::-1]
+        i = bisect_left(self.reversed, rev)
+        return i if i < len(self.reversed) and self.reversed[i] == rev else None
 
 
 def _word_tag_ids(tagset: TagSet) -> list[int]:
@@ -98,31 +176,33 @@ class LexicalModel:
         punct_priors: np.ndarray,
         class_dists: dict[str, np.ndarray],
         punct_table: dict[str, dict[int, int]],
-        surfaces: dict[str, dict[int, int]],
+        surfaces: Mapping[str, Mapping[int, int]] | SurfaceTable,
     ):
-        """`surfaces` maps each word surface to its {tag id: count}, and the
-        suffix table indexes it.  `priors` and `punct_priors` are each tag
-        family's priors.  As in a model file, each surface needs counts, each
-        a positive integer below 2^63, and no word surface may be empty.  A
-        tag with zero prior in its own family may have no count and no
+        """`surfaces` maps each word surface to its {tag id: count}; a dict is
+        copied into a `SurfaceTable`.  `priors` and `punct_priors` are each
+        tag family's priors.  As in a model file, each surface needs counts,
+        each a positive integer below 2^63, and no word surface may be empty.
+        A tag with zero prior in its own family may have no count and no
         class-distribution mass, so every lookup's P(tag | word) / P(tag) is
-        defined."""
-        if "" in surfaces:
-            raise InputError("a word surface cannot be empty")
+        defined; the first surface, in the order given, that counts such a
+        tag is named with the smallest such tag."""
+        if not isinstance(surfaces, SurfaceTable):
+            surfaces = SurfaceTable.from_dict(surfaces)
         word_ids = _word_tag_ids(tagset)
         tag_priors = punct_priors.copy()  # each tag's prior from its own family
         tag_priors[word_ids] = priors[word_ids]
         zero = tag_priors == 0.0
+        bad = np.flatnonzero(zero[surfaces.ids])
+        if bad.size:
+            rows = np.searchsorted(surfaces.starts, bad, "right") - 1
+            first = int(np.argmin(rows if surfaces.rank is None else surfaces.rank[rows]))
+            surface = surfaces.reversed[rows[first]][::-1]
+            raise _zero_prior(tagset, int(surfaces.ids[bad[first]]), "word surface", surface)
         unset = set(np.flatnonzero(zero).tolist())
-        for rows, source in ((surfaces, "word surface"), (punct_table, "punct-table surface")):
-            for surface, counts in rows.items():
-                if not counts or min(counts.values()) < 1 or max(counts.values()) >= 2**63:
-                    raise InputError(
-                        f"surface {surface!r} needs counts, each a positive integer below 2^63"
-                    )
-                if not unset.isdisjoint(counts):
-                    t = min(unset.intersection(counts))
-                    raise _zero_prior(tagset, t, source, surface)
+        for surface, counts in punct_table.items():
+            _check_counts(surface, counts)
+            if not unset.isdisjoint(counts):
+                raise _zero_prior(tagset, min(unset.intersection(counts)), "punct-table surface", surface)
         for name, dist in class_dists.items():
             bad = np.flatnonzero(zero & (dist > 0.0))
             if bad.size:
@@ -134,24 +214,19 @@ class LexicalModel:
         self.class_dists = class_dists
         self.punct_table = punct_table
         self.surfaces = surfaces
-        # Every lookup blends the empty suffix, even with no surfaces.
-        table: dict[str, dict[int, int]] = {"": {}}
-        for surface, counts in surfaces.items():
-            for i in range(len(surface) + 1):
-                suffix = surface[i:]
-                into = table.get(suffix)
-                if into is None:
-                    table[suffix] = dict(counts)
-                else:
-                    for t, c in counts.items():
-                        into[t] = into.get(t, 0) + c
-        self._suffix_counts = table
-        self._width = Counter(suffix[1:] for suffix in table if suffix)
         # a zero prior divides zero mass: the score is 0
         self._divisor = np.where(zero, 1.0, tag_priors)
         self._anchor = _anchor(priors, word_ids)
-        # Only the model's own surfaces are cached, so the cache stays bounded.
+        # Each row's bounds, the exact total of the rows before each row, and
+        # each count as the float a blend adds.
+        self._starts = surfaces.starts.tolist()
+        self._before = np.append(0, np.cumsum(surfaces.counts))[surfaces.starts].tolist()
+        self._weights = surfaces.counts.astype(float)
+        # Only the model's own surfaces and suffixes are cached, so the caches stay bounded:
+        # the runs of two or more rows by reversed suffix, and their summed counts.
         self._dist_cache: dict[str, np.ndarray] = {}
+        self._runs: dict[str, tuple[int, int]] = {}
+        self._run_counts: dict[tuple[int, int], np.ndarray] = {}
 
     # -- training ----------------------------------------------------------
 
@@ -228,44 +303,62 @@ class LexicalModel:
 
     # -- lookup ------------------------------------------------------------
 
-    def _blend(self, counts: dict[int, int], parent: np.ndarray) -> np.ndarray:
+    def _counts(self, lo: int, hi: int) -> tuple[np.ndarray | slice, np.ndarray]:
+        """The counts of the rows lo..hi-1 summed by tag, as floats, and the
+        tags they belong to: one row's own counts and its tag ids, or else
+        the sums over every tag, made once and cached per run, so per
+        suffix."""
+        a, b = self._starts[lo], self._starts[hi]
+        if hi - lo == 1:
+            return self.surfaces.ids[a:b], self._weights[a:b]
+        summed = self._run_counts.get((lo, hi))
+        if summed is None:
+            table = self.surfaces
+            summed = np.zeros(len(self.tagset), table.counts.dtype)
+            np.add.at(summed, table.ids[a:b], table.counts[a:b])
+            summed = self._run_counts[lo, hi] = summed.astype(float)
+        return slice(None), summed
+
+    def _blend(self, run: tuple[int, int], parent: np.ndarray) -> np.ndarray:
+        """(c(s,x) + k * parent(x)) / (c(s) + k) over the rows of `run`; a
+        tag without counts adds 0.0, which leaves its k * parent unchanged."""
+        tags, counts = self._counts(*run)
+        total = self._before[run[1]] - self._before[run[0]]
         k = self.config.k
-        total = sum(counts.values())
         if total + k == 0:  # k=0 on an empty node: defer to the parent
             return parent
         v = parent * k
-        for t, c in counts.items():
-            v[t] += c
+        v[tags] += counts
         return v / (total + k)
 
-    def _match_path(self, surface: str) -> list[dict[int, int]]:
-        """The counts of the surface's suffixes in the table, shortest first.
-        The table holds every suffix of each suffix it holds, so the first
-        one missing ends the path."""
-        path = []
-        for i in range(len(surface), -1, -1):
-            counts = self._suffix_counts.get(surface[i:])
-            if counts is None:
+    def _match_path(self, surface: str) -> list[tuple[int, int]]:
+        """The runs of rows that hold the surface's suffixes in the table,
+        shortest first: the rows whose reversed surface starts with the
+        suffix reversed.  The table holds every suffix of each suffix it
+        holds, so the first one missing ends the path."""
+        rev = surface[::-1]
+        keys = self.surfaces.reversed
+        lo, hi = 0, len(keys)
+        path = [(lo, hi)]  # the empty suffix, which every lookup blends
+        for d in range(1, len(rev) + 1):
+            if hi - lo == 1:  # one row left: the path follows it as far as they agree
+                agree = len(rev) if keys[lo].startswith(rev) else len(commonprefix((keys[lo], rev)))
+                path += [(lo, hi)] * (agree - d + 1)
                 break
-            path.append(counts)
+            stem = rev[:d]
+            run = self._runs.get(stem)
+            if run is None:
+                lo = bisect_left(keys, stem, lo, hi)
+                if stem[-1] != "\U0010ffff":  # the run ends below `stem` with its last character stepped
+                    hi = bisect_left(keys, stem[:-1] + chr(ord(stem[-1]) + 1), lo, hi)
+                if lo == hi:
+                    break
+                run = (lo, hi)
+                if hi - lo > 1:
+                    self._runs[stem] = run
+            lo, hi = run
+            path.append(run)
         return path
-
-    def _branching_ancestors(self, surface: str) -> list[dict[int, int]]:
-        """The counts of the nearest `levels` strict suffixes of
-        a known surface that branch, shortest first; a suffix branches when
-        two or more table suffixes extend it by one character or when it is
-        itself a surface."""
-        found = []
-        levels = self.config.levels
-        n = len(surface)
-        for d in range(n - 1, -1, -1):
-            if len(found) == levels:
-                break
-            suffix = surface[n - d :]
-            if self._width[suffix] >= 2 or suffix in self.surfaces:
-                found.append(self._suffix_counts[suffix])
-        found.reverse()
-        return found
 
     def _dist_vector(self, surface: str) -> np.ndarray:
         cached = self._dist_cache.get(surface)
@@ -278,14 +371,22 @@ class LexicalModel:
                 v[t] = c
             v /= v.sum()
         elif self.is_known(surface):
+            # Blend the nearest `levels` strict suffixes that branch, shortest
+            # first, then the word's own counts.  A suffix branches when two or
+            # more table suffixes extend it by one character or when it is
+            # itself a surface: just when its run holds a row that the run of
+            # the suffix one character longer does not.
+            path = self._match_path(surface)  # a run for every suffix, the surface's own last
+            branching = [path[d] for d in range(len(surface)) if path[d] != path[d + 1]]
             dist = self._anchor
-            for counts in self._branching_ancestors(surface):
-                dist = self._blend(counts, dist)
-            v = self._blend(self.surfaces[surface], dist)
+            for run in branching[len(branching) - min(self.config.levels, len(branching)) :]:
+                dist = self._blend(run, dist)
+            row = path[-1][0]  # the surface sorts first among those ending in it
+            v = self._blend((row, row + 1), dist)
         else:
             dist = self._anchor
-            for counts in self._match_path(surface):
-                dist = self._blend(counts, dist)
+            for run in self._match_path(surface):
+                dist = self._blend(run, dist)
             w = self.config.class_mix
             return (1.0 - w) * dist + w * self._class_dist(surface)
         self._dist_cache[surface] = v
@@ -319,5 +420,5 @@ class LexicalModel:
     def is_known(self, surface: str) -> bool:
         if surface in self.punct_table:
             return True
-        counts = self.surfaces.get(surface)
-        return counts is not None and sum(counts.values()) >= self.config.known_threshold
+        row = self.surfaces.row(surface)
+        return row is not None and self._before[row + 1] - self._before[row] >= self.config.known_threshold

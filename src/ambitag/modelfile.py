@@ -9,9 +9,9 @@ is byte-identical.  The lexicon's ``config`` line holds ``name value`` for
 each `SmoothingConfig` field in order, the name's ``_`` written ``-`` and
 the value with str(), which is repr() for a float and plain for a numpy
 scalar.  The
-trie section is written from the lexicon's surface table, one line per
-node of the reversed surfaces' trie, and read back into that table; no
-trie is kept, the lexicon indexes it by suffix.  Trigram lines are written
+trie section is written from the lexicon's `SurfaceTable`, one line per
+node of the reversed surfaces' trie, in the table's own sorted order, and
+read back into such a table; no trie is kept.  Trigram lines are written
 sorted and distinct, trie lines once per node and punct-table lines once
 per surface; on load, repeated trigrams, trie
 surfaces, punct-table surfaces and tags on one line all sum.  A trie line
@@ -24,14 +24,22 @@ distribution, or the model is rejected, naming the line of that count or
 of that class's header.  Punct-table surfaces are written unescaped, so one
 holding a tab or a line break cannot be saved.
 
-The trigram section is read by a bulk pass first (`bulkparse`): each slab
-of lines is encoded once and checked and parsed as one byte array, with no
-Python object per field.  It takes only lines in the form `dumps_model`
-writes, ``a b c n`` single-spaced, each symbol exactly one of the
-alphabet's and each count 1-19 ASCII digits.  If any slab holds another
-line, or the counts reach 2^63, the per-line loop reads the section from
-its first line instead: that loop defines a valid line, so the two read
-every file alike and every error keeps its message and line number.
+The trigram and trie sections are each read by a bulk pass first, and by
+a per-line loop that defines a valid line only if the bulk pass declines;
+the loop then reads the section from its first line, so the two read every
+file alike and every error keeps its message and line number.  The
+trigram pass (`bulkparse`) encodes each slab of lines once and checks and
+parses it as one byte array, with no Python object per field.  It takes
+only lines in the form `dumps_model` writes, ``a b c n`` single-spaced,
+each symbol exactly one of the alphabet's and each count 1-19 ASCII
+digits, and declines if any slab holds another line or the counts reach
+2^63.  The trie pass (`_bulk_trie`) splits the whole section once and
+checks and converts it a column at a time: depths, characters, and tag
+and count fields.  It builds each surface from the one before it and
+takes only single-spaced lines whose depths walk the trie, whose surfaces
+come in sorted order, once each, and whose tags ascend on each line.  A
+zero-prior error is located by reading both surface sections again with
+their loops.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from .errors import (
     TagInventoryError,
     ZeroPriorError,
 )
-from .lexicon import LexicalModel, SmoothingConfig
+from .lexicon import LexicalModel, SmoothingConfig, SurfaceTable
 from .ngram import StateSpace, TransitionModel
 from .tagset import TagSet
 
@@ -77,18 +85,18 @@ def _dec_char(field: str) -> str:
     raise ModelFormatError(f"bad character field {field!r}")
 
 
-def _dump_trie(surfaces: dict[str, dict[int, int]], symbols: list[str]) -> list[str]:
+def _dump_trie(table: SurfaceTable, symbols: list[str]) -> list[str]:
     """One ``depth char (tag count)*`` line per node of the trie of reversed
-    surfaces, in pre-order with children in character order: the reversed
-    surfaces sorted, each adding the nodes below its longest common prefix
-    with the one before."""
+    surfaces, in pre-order with children in character order: the table's
+    reversed surfaces in their sorted order, each adding the nodes below its
+    longest common prefix with the one before."""
     lines: list[str] = []
     prev = ""
-    for rev in sorted(surface[::-1] for surface in surfaces):
+    ids, counts, starts = table.ids.tolist(), table.counts.tolist(), table.starts.tolist()
+    for rev, a, b in zip(table.reversed, starts, starts[1:]):
         depth = len(commonprefix((prev, rev)))
         lines += [f"{d} {_enc_char(rev[d - 1])}" for d in range(depth + 1, len(rev) + 1)]
-        counts = surfaces[rev[::-1]]
-        lines[-1] += "".join(f" {symbols[t]} {counts[t]}" for t in sorted(counts))
+        lines[-1] += "".join(f" {symbols[t]} {c}" for t, c in zip(ids[a:b], counts[a:b]))
         prev = rev
     return lines
 
@@ -265,16 +273,16 @@ def _read_punct_table(
     return table
 
 
-def _read_trie(
-    lines: _Lines, lookup: dict[str, int], where: _Where | None = None
+def _read_trie_lines(
+    entries: enumerate, lookup: dict[str, int], where: _Where | None = None
 ) -> dict[str, dict[int, int]]:
-    """The pre-order trie dump, each line ``depth char (tag count)*``, as
-    {surface: {tag id: count}} over the lines with counts; a repeated
-    surface sums.  `where`, if given, gets the line of each count."""
+    """The numbered lines of a pre-order trie dump, each ``depth char (tag
+    count)*``, as {surface: {tag id: count}} over the lines with counts; a
+    repeated surface sums.  `where`, if given, gets the line of each count.
+    This loop defines a valid line."""
     table: dict[str, dict[int, int]] = {}
     chars: list[str] = []  # the path from the root to the last node
     bare = 0  # the last line's number if it has no counts
-    entries = lines.numbered(lines.count("trie "))
     try:
         for lineno, line in entries:
             depth, ch, *terms = line.split()
@@ -298,6 +306,96 @@ def _read_trie(
     if bare:
         raise ModelFormatError(f"line {bare}: trie node has neither counts nor children")
     return table
+
+
+def _bulk_trie(block: list[str], lookup: dict[str, int]) -> SurfaceTable | None:
+    """The trie lines `block` read a column at a time, or None unless the
+    per-line loop would read them alike and find each surface once: every
+    line is ``depth char (tag count)*`` single-spaced, with the depth in
+    ASCII digits; the depths walk the trie and a line without counts is
+    followed by its child; the surfaces come in sorted order; and on each
+    line the tags ascend and the counts are ASCII digits in [1, 2^63)."""
+    if not block:
+        return SurfaceTable([], [0], [], [])
+    text = "\n".join(block)
+    fields = text.split()
+    if " ".join(fields) != text.replace("\n", " "):
+        return None  # a blank line, or fields not parted by single spaces
+    # Spaces and line ends in order; each line has one field more than spaces.
+    seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(np.append(seps[(seps == 32) | (seps == 10)] == 10, True))
+    sizes = np.diff(ends, prepend=-1)
+    if sizes.min() < 2 or (sizes % 2).any():
+        return None  # a line without a character field, or a tag without a count
+    columns = np.array(fields, object)
+    firsts = np.cumsum(sizes) - sizes  # each line's depth field
+    depths = columns[firsts].tolist()
+    text = "".join(depths)
+    if not (text.isascii() and text.isdecimal()):
+        return None
+    # A depth too large for an int64 reads as the largest one, which no
+    # section has lines enough to reach.
+    depth = np.fromstring(" ".join(depths), np.int64, sep=" ")
+    bare = sizes == 2
+    follows = np.append(depth[1:], 0)  # the next line's depth, 0 after the last
+    if (
+        depth[0] != 1
+        or not 1 <= depth.min() <= depth.max() <= len(block)
+        or (follows[:-1] > depth[:-1] + 1).any()
+        or (follows[bare] != depth[bare] + 1).any()
+    ):
+        return None  # a depth out of order, or a line with neither counts nor children
+    chars = columns[firsts + 1].tolist()
+    text = "".join(chars)
+    if len(text) != len(chars):
+        try:
+            text = "".join(map(_dec_char, chars))
+        except ModelFormatError:
+            return None
+    # Each surface keeps the previous one's first `depth - 1` characters,
+    # for the depth of the first line after it, and adds the characters of
+    # that line and of the ones down to its own.
+    ends = np.flatnonzero(~bare)
+    starts = np.append(0, ends[:-1] + 1)
+    reversed_surfaces = []
+    rev = ""
+    for keep, a, b in zip((depth[starts] - 1).tolist(), starts.tolist(), (ends + 1).tolist()):
+        rev = rev[:keep] + text[a:b]
+        reversed_surfaces.append(rev)
+    if not all(map(str.__lt__, reversed_surfaces, reversed_surfaces[1:])):
+        return None  # out of order or repeated
+    terms = np.ones(len(fields), bool)
+    terms[firsts] = terms[firsts + 1] = False
+    terms = columns[terms]
+    counts = terms[1::2].tolist()
+    text = "".join(counts)
+    if not (text.isascii() and text.isdecimal()):
+        return None
+    counts = list(map(int, counts))
+    try:
+        ids = np.array([lookup[sym] for sym in terms[0::2].tolist()], np.intp)
+    except KeyError:
+        return None
+    rows = np.append(0, np.cumsum(sizes[ends] // 2 - 1))
+    rises = np.diff(ids)
+    rises[rows[1:-1] - 1] = 1  # each line's tags ascend on their own
+    if min(counts) < 1 or max(counts) >= 2**63 or (rises < 1).any():
+        return None
+    return SurfaceTable(reversed_surfaces, rows, ids, counts)
+
+
+def _read_trie(
+    lines: _Lines, lookup: dict[str, int], where: _Where | None = None
+) -> SurfaceTable | dict[str, dict[int, int]]:
+    """The trie section: the bulk pass if it takes every line, else the
+    per-line loop from the section's first line, which locates any error.
+    `where`, if given, gets the line of each count from the loop."""
+    n = lines.count("trie ")
+    block = lines.block(n)
+    found = None if where is not None else _bulk_trie(block, lookup)
+    if found is None:
+        found = _read_trie_lines(enumerate(block, lines.pos - n + 1), lookup, where)
+    return found
 
 
 def _read_trigram_lines(
@@ -345,10 +443,8 @@ def _read_lexicon(lines: _Lines, tagset: TagSet) -> LexicalModel:
     for name in ("capitalized", "all-caps", "infrequent"):
         class_lines[name] = lines.pos + 1
         class_dists[name] = _read_dist(lines, f"class {name} ", lookup)
-    # where each surface section starts, to read it again on that error
-    starts = {"punct-table surface": (lines.pos, _read_punct_table)}
+    start = lines.pos  # where the surface sections start, to read them again on that error
     punct_table = _read_punct_table(lines, lookup)
-    starts["word surface"] = (lines.pos, _read_trie)
     surfaces = _read_trie(lines, lookup)
     try:
         return LexicalModel(
@@ -358,10 +454,11 @@ def _read_lexicon(lines: _Lines, tagset: TagSet) -> LexicalModel:
         if exc.source == "class":
             lineno = class_lines[exc.key]
         else:
-            lines.pos, read = starts[exc.source]
-            where: _Where = {}
-            read(lines, lookup, where)
-            lineno = where[exc.key, exc.tag]
+            lines.pos = start
+            where: dict[str, _Where] = {"punct-table surface": {}, "word surface": {}}
+            _read_punct_table(lines, lookup, where["punct-table surface"])
+            _read_trie(lines, lookup, where["word surface"])
+            lineno = where[exc.source][exc.key, exc.tag]
         raise ModelFormatError(f"line {lineno}: {exc}") from None
 
 

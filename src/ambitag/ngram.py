@@ -78,7 +78,7 @@ class TransitionModel:
         distinct and ascending, with one weight each, as a model file holds
         them, are kept as given: arrays of the id type and int64 are not
         copied."""
-        check_blend_strength(k)
+        check_blend_strength(k, "k")
         self.space = StateSpace(tagset)
         self.k = float(k)
         shape = (self.space.n_symbols,) * 3

@@ -147,6 +147,16 @@ def unknown_word_dist(surfaces, priors, class_dists, k, class_mix, surface):
     ]
 
 
+def word_dist(surfaces, priors, class_dists, config, surface):
+    """P(tag | surface) for a word surface: `known_word_dist` if the table
+    counts it at least `config.known_threshold` times, else
+    `unknown_word_dist`; `config` supplies the smoothing settings."""
+    row = surfaces.get(surface)
+    if row is not None and sum(row.values()) >= config.known_threshold:
+        return known_word_dist(surfaces, priors, config.k, config.levels, surface)
+    return unknown_word_dist(surfaces, priors, class_dists, config.k, config.class_mix, surface)
+
+
 def _shape(surface):
     """all-caps (two or more characters), capitalized, or other."""
     if len(surface) >= 2 and surface.isupper():

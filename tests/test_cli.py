@@ -515,15 +515,61 @@ class TestViterbiOnlyWhenAsked:
                 main([command, source, "--model", model, "--mode", "viterbi", "--out", out])
 
 
+PUBLIC_NAMES = [
+    "AgreementTest", "AmbitagError", "AnnotatedSentence", "BOUNDARY", "Cohort", "ConversionRule",
+    "EvalReport", "InputError", "LexicalModel", "MODE_POSTERIOR", "MODE_VITERBI",
+    "SmoothingConfig", "StateSpace", "Tag", "TagSet", "TaggingResult", "Token", "TradeoffTable",
+    "TransitionModel", "WordResult", "agreement_critical_rate", "agreement_test",
+    "apply_threshold", "binomial_ci_halfwidth", "build_synthetic_hmm", "bulkparse",
+    "cohorts_for_tokens", "convert_cohort", "convert_reading", "corpus", "decode_sentence",
+    "decoder", "default_rules", "default_tagset", "disagreement_rate", "dumps_model", "errors",
+    "evalstats", "learning_curve", "lexicon", "load_model", "load_rules", "load_tagset",
+    "loads_model", "modelfile", "ngram", "oracle_error_rate", "oracle_viterbi", "parse_tagset",
+    "read_annotated", "read_cohorts", "sample_corpus", "save_model", "score",
+    "split_for_learning_curve", "synth", "tagset", "tradeoff_sweep", "word_count",
+    "write_annotated",
+]
+
+
+def _child_env() -> dict[str, str]:
+    path = [str(Path(ambitag.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 class TestImport:
     def test_cli_import_leaves_out_scipy(self):
-        path = [str(Path(ambitag.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         code = "import sys, ambitag.cli; print('scipy' in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True
         )
         assert out.stdout == "False\n"
+
+    def test_train_and_tag_import_only_what_they_run(self, ws):
+        model = str(ws / "model.txt")
+        commands = {
+            "train": ["train", str(ws / "train.txt"), "--tagset", str(ws / "inventory.tags"),
+                      "--model", model],
+            "tag": ["tag", str(ws / "input.cohorts"), "--model", model, "--threshold", "0.1"],
+        }
+        for name, argv in commands.items():
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "ambitag.cli", *argv],
+                env=_child_env(), capture_output=True, text=True, check=True,
+            )
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")
+            }
+            assert "ambitag.lexicon" in imported, name  # the log lists the package's modules
+            assert not imported & {"ambitag.synth", "ambitag.evalstats", "statistics"}, name
+
+    def test_every_public_name_resolves(self):
+        assert ambitag.__all__ == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            assert getattr(ambitag, name) is not None, name
+        assert ambitag.build_synthetic_hmm is ambitag.synth.build_synthetic_hmm
+        with pytest.raises(AttributeError):
+            ambitag.no_such_name
 
 
 class TestEval:
@@ -786,6 +832,15 @@ K_TRANS_COMMANDS = {  # each command that reads k_trans from a config file
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("command", K_TRANS_COMMANDS)
+    def test_bad_k_lex_names_its_setting(self, ws, capsys, command):
+        model = train_model(ws)
+        capsys.readouterr()  # drop the training report
+        (ws / "run.cfg").write_text("k_lex = -1\n", encoding="utf-8")
+        argv = K_TRANS_COMMANDS[command].format(ws=ws, model=model).split()
+        assert main([*argv, "--config", str(ws / "run.cfg")]) == 2
+        assert capsys.readouterr() == ("", "error: blend strength k_lex must be finite and >= 0, got -1.0\n")
+
     @pytest.mark.parametrize("value", ["-1", "nan"])
     @pytest.mark.parametrize("command", K_TRANS_COMMANDS)
     def test_bad_k_trans_is_exit_2_before_any_input(self, ws, capsys, command, value):
@@ -795,7 +850,7 @@ class TestConfigFile:
         argv = K_TRANS_COMMANDS[command].format(ws=ws, model=model).split()
         assert main([*argv, "--config", str(ws / "run.cfg")]) == 2
         assert capsys.readouterr() == (
-            "", f"error: blend strength must be finite and >= 0, got {float(value)}\n"
+            "", f"error: blend strength k_trans must be finite and >= 0, got {float(value)}\n"
         )
         assert not (ws / "m2.txt").exists()
 

@@ -6,20 +6,37 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import apply_threshold, cohorts_for_tokens, decode_sentence
 from ambitag.errors import ConfigError, InputError, TagInventoryError
 from ambitag.lexicon import LexicalModel, SmoothingConfig
-from ambitag.modelfile import dumps_model
+from ambitag.modelfile import dumps_model, loads_model
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import WORD, TagSet, parse_tagset
 
-from oracles import known_word_dist, kl_divergence, recount_lexicon, unknown_word_dist
+from oracles import known_word_dist, kl_divergence, recount_lexicon, unknown_word_dist, word_dist
 
 TS2 = parse_tagset("A\nB\n")
+TS_TABLE = parse_tagset("A\nB\nC\nD\n@dot\n")
+
+# Letters that make surfaces suffixes of one another, a space, a tab and a
+# backslash (written escaped in a model file), non-ASCII and astral ones.
+SURFACE_CHARS = ["a", "b", " ", "\t", "\\", "é", "真", "\u00a0", "\U0001f600"]
+
+
+@st.composite
+def surface_tables(draw):
+    """{surface: {tag id: count}} over the word tags of TS_TABLE, holding a
+    suffix of each drawn word too; counts are small or near 2^63, so that
+    sums of them pass 2^63."""
+    words = draw(st.lists(st.text(SURFACE_CHARS, min_size=1, max_size=5), min_size=1, max_size=8))
+    cuts = draw(st.lists(st.integers(0, 4), min_size=len(words), max_size=len(words)))
+    words += [w[c % len(w) :] for w, c in zip(words, cuts)]
+    count = st.one_of(st.integers(1, 3), st.integers(2**62, 2**63 - 1))
+    return {w: draw(st.dictionaries(st.integers(0, 3), count, min_size=1, max_size=3)) for w in words}
 TS_NV = parse_tagset("N\nV\n@fullstop\n@semicolon\n")
 
 
@@ -35,16 +52,15 @@ def bare_model(ts, priors, **cfg) -> LexicalModel:
 
 
 def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
-    """Two-tag model with hand-set counts: the empty suffix sees A 3x /
-    B 1x, the suffix 's' sees B 2x.  Set by hand because the counts are
-    chosen for arithmetic: no corpus yields them, since a suffix never
-    counts more of a tag than the empty suffix.
-    """
-    model = bare_model(TS2, [0.75, 0.25], k=k, class_mix=class_mix)
-    assert list(model._anchor) == [0.5, 0.5]  # uniform over both supported tags
-    model.class_dists = {n: model._anchor.copy() for n in ("capitalized", "all-caps", "infrequent")}
-    model._suffix_counts = {"": {0: 3, 1: 1}, "s": {1: 2}}
-    model._width = Counter({"": 1})
+    """Two-tag model with hand-set counts and priors: the surface 'xa'
+    seen as A 3x and 's' as B 1x, so the empty suffix sees A 3x / B 1x and
+    the suffix 's' B 1x.  The priors, 0.75 / 0.25, are set by hand too."""
+    anchor = np.array([0.5, 0.5])  # uniform over both supported tags
+    dists = {n: anchor.copy() for n in ("capitalized", "all-caps", "infrequent")}
+    config = SmoothingConfig(k=k, class_mix=class_mix)
+    priors = np.array([0.75, 0.25])
+    model = LexicalModel(TS2, config, priors, np.zeros(2), dists, {}, {"xa": {0: 3}, "s": {1: 1}})
+    assert list(model._anchor) == list(anchor)
     return model
 
 
@@ -57,15 +73,16 @@ class TestBlendByHand:
 
     def test_child_level(self):
         model = hand_model()
+        # the root's (0.7, 0.3) blended with the suffix 's': (0.7 / 2, 1.3 / 2)
         v = model._dist_vector("xs")
-        assert v == pytest.approx([0.7 / 3, 2.3 / 3], abs=1e-12)
+        assert v == pytest.approx([0.35, 0.65], abs=1e-12)
 
     def test_converse_score(self):
         model = hand_model()
         b = TS2.tag("B").index
-        assert model.converse_lexical_probs("xs", [b])[0] == pytest.approx((2.3 / 3) / 0.25)
+        assert model.converse_lexical_probs("xs", [b])[0] == pytest.approx(0.65 / 0.25)
         a = TS2.tag("A").index
-        assert model.converse_lexical_probs("xs", [a])[0] == pytest.approx((0.7 / 3) / 0.75)
+        assert model.converse_lexical_probs("xs", [a])[0] == pytest.approx(0.35 / 0.75)
 
     def test_large_k_approaches_anchor(self):
         model = hand_model(k=1e9)
@@ -312,6 +329,16 @@ class TestDegenerate:
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
             SmoothingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["k", "support_epsilon", "class_mix"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_float_fields_refuse_bools(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+            SmoothingConfig(**{field: value})
+
+    def test_float_fields_take_numpy_floats_and_ints(self):
+        config = SmoothingConfig(k=np.float32(0.5), support_epsilon=np.float64(0.01), class_mix=1)
+        assert (config.k, config.support_epsilon, config.class_mix) == (0.5, 0.01, 1)
+
     def test_numpy_integer_fields_save_as_plain_ones(self):
         corpus = parse_annotated(WALK_CORPUS, TS_NV)
         trans = TransitionModel.train(corpus, TS_NV)
@@ -388,14 +415,23 @@ class TestCandidates:
             assert model._dist_vector(surface).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def assert_lookups_match_the_oracle(model: LexicalModel, surfaces) -> None:
+    """Each of `surfaces` looks up, bit for bit, what the oracles compute
+    from the model's surface table alone."""
+    table = dict(model.surfaces)
+    for surface in surfaces:
+        want = word_dist(table, model.priors, model.class_dists, model.config, surface)
+        assert np.array_equal(model._dist_vector(surface), want), surface
+
+
 class TestTrieStructure:
     def test_reverse_insertion(self):
         model = _train(WALK_CORPUS)
         counts = {TS_NV.tag("N").index: 3, TS_NV.tag("V").index: 1}
-        suffixes = ["", "k", "lk", "alk", "walk"]
-        assert model._suffix_counts == dict.fromkeys(suffixes, counts)
-        assert model._width == Counter(suffixes[:-1])  # one longer suffix each
         assert model.surfaces == {"walk": counts}
+        # an unseen word ending in each suffix of "walk", "" included
+        suffixes = ["", "k", "lk", "alk", "walk"]
+        assert_lookups_match_the_oracle(model, ["walk"] + [f"#{s}" for s in suffixes])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_node_counts_the_words_ending_in_its_suffix(self, seed):
@@ -405,11 +441,30 @@ class TestTrieStructure:
         want: dict[str, Counter] = {}
         for sent in corpus:
             for tok, tag in zip(sent.tokens, sent.gold):
-                w = tok.surface
-                for i in range(len(w) + 1):
-                    want.setdefault(w[i:], Counter())[tag.index] += 1
-        assert model._suffix_counts == want
-        assert model._width == Counter(suffix[1:] for suffix in want if suffix)
+                want.setdefault(tok.surface, Counter())[tag.index] += 1
+        assert model.surfaces == want
+        suffixes = {w[i:] for w in want for i in range(len(w) + 1)}
+        # every surface, and an unseen word ending in each suffix of one
+        assert_lookups_match_the_oracle(model, [*want, *(f"#{s}" for s in suffixes)])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(table=surface_tables(), levels=st.integers(0, 3), k=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    @example(table={"a": {0: 1}, "ba": {1: 2}, "aba": {0: 3}, "b": {2: 1}}, levels=2, k=1.0)
+    @example(table={"ab": {0: 2**63 - 1}, "b": {0: 2**63 - 1, 1: 1}}, levels=1, k=1.0)
+    def test_table_its_twin_and_the_oracle_agree(self, table, levels, k):
+        """A model built from any surface table, and its dump-and-load twin,
+        look every surface up as the oracles do; so does an unseen word
+        ending in each suffix, with one escaped and one non-ASCII character."""
+        priors = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
+        dists = {name: priors.copy() for name in ("capitalized", "all-caps", "infrequent")}
+        config = SmoothingConfig(k=k, levels=levels, known_threshold=2)
+        model = LexicalModel(TS_TABLE, config, priors, np.zeros(5), dists, {}, table)
+        twin, _ = loads_model(dumps_model(model, TransitionModel(TS_TABLE)))
+        assert twin.surfaces == model.surfaces == table
+        suffixes = {w[i:] for w in table for i in range(len(w) + 1)}
+        surfaces = [*table, *(f"\t{s}" for s in suffixes), *(f"é{s}" for s in suffixes)]
+        assert_lookups_match_the_oracle(model, surfaces)
+        assert_lookups_match_the_oracle(twin, surfaces)
 
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -29,7 +29,7 @@ from ambitag.ngram import StateSpace, TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
 from ambitag.tagset import WORD, TagSet, default_tagset, parse_tagset
 
-from oracles import trie_dump
+from oracles import trie_dump, word_dist
 
 TS = parse_tagset("N\nV\nADV\n@dot\n@comma\n")
 
@@ -139,9 +139,14 @@ class TestRoundTrip:
         lex = LexicalModel.train(sample_corpus(model, 3000, seed=6), model.tagset)
         lex2, _ = loads_model(dumps_model(lex, TransitionModel(model.tagset)))
 
-        assert lex2._suffix_counts == lex._suffix_counts
-        assert lex2._width == lex._width
         assert lex2.surfaces == lex.surfaces
+        table = dict(lex.surfaces)
+        suffixes = {w[i:] for w in table for i in range(len(w) + 1)}
+        # every surface, and an unseen word ending in each suffix of one
+        for surface in [*table, *(f"#{s}" for s in suffixes)]:
+            want = word_dist(table, lex.priors, lex.class_dists, lex.config, surface)
+            assert np.array_equal(lex._dist_vector(surface), want), surface
+            assert np.array_equal(lex2._dist_vector(surface), want), surface
 
     def test_repeated_trie_surface_sums_and_dumps_once(self):
         text = dumps_model(*trained())
@@ -813,3 +818,131 @@ class TestZeroPriorNamesItsLine:
         )
         lineno = text.splitlines().index("class all-caps 3") + 1
         assert self._refused(text) == f"line {lineno}: tag ADV has zero prior but class all-caps gives it mass"
+
+
+def _trie_block(text: str) -> tuple[list[str], list[str], list[str]]:
+    """`text`'s lines split into those up to the trie header, the trie
+    lines, and the lines after them."""
+    lines = text.splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("trie ")) + 1
+    end = idx + int(lines[idx - 1].split()[1])
+    return lines[:idx], lines[idx:end], lines[end:]
+
+
+def _with_trie_block(text: str, block: list[str]) -> str:
+    head, _, tail = _trie_block(text)
+    head[-1] = f"trie {len(block)}"
+    return "\n".join(head + block + tail) + "\n"
+
+
+def _table_outcome(text: str) -> tuple | list:
+    """The loaded word table's items in order, or the error."""
+    try:
+        lex, _ = loads_model(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return list(lex.surfaces.items())
+
+
+def _table_loop_outcome(text: str) -> tuple | list:
+    """As `_table_outcome`, with the trie's bulk pass turned off."""
+    with mock.patch.object(modelfile, "_bulk_trie", return_value=None):
+        return _table_outcome(text)
+
+
+# Surfaces that share suffixes, and characters a trie line writes escaped:
+# a space, a tab, a backslash and a line separator.
+DUMP_LEX = trained()[0]
+ODD_TRIE_DUMP = dumps_model(
+    LexicalModel(
+        TS, SmoothingConfig(), DUMP_LEX.priors, DUMP_LEX.punct_priors, DUMP_LEX.class_dists, {},
+        {"walk": {0: 3, 1: 1}, "talk": {1: 2}, "a b": {0: 1}, "tab\tk": {2: 4}, "k": {0: 1},
+         "x\\k": {1: 1}, " lk": {2: 1}, " ": {0: 2}, "真k": {0: 1, 2: 5}, "\u2028k": {1: 1}},
+    ),
+    TransitionModel(TS),
+)
+# Edits of one trie line, given its depth, its character field and the
+# rest, that the loop reads, or refuses, in its own way.
+TRIE_EDITS = [
+    lambda d, c, rest: f"{d}  {c}{rest}",
+    lambda d, c, rest: f"{d} {c}{rest} ",
+    lambda d, c, rest: f"{d}\t{c}{rest}",
+    lambda d, c, rest: f"0{d} {c}{rest}",
+    lambda d, c, rest: f"{int(d) + 1} {c}{rest}",
+    lambda d, c, rest: f"0 {c}{rest}",
+    lambda d, c, rest: f"\u0661 {c}{rest}",
+    lambda d, c, rest: f"{d} {c}",
+    lambda d, c, rest: f"{d} {c}{rest} N 1",
+    lambda d, c, rest: f"{d} {c}{rest} ADV 2",
+    lambda d, c, rest: f"{d} {c}{rest} BOGUS 1",
+    lambda d, c, rest: f"{d} {c}{rest} N",
+    lambda d, c, rest: f"{d} {c}{rest} N {2**63 - 1}",
+    lambda d, c, rest: f"{d} {c}{rest} N 0",
+    lambda d, c, rest: f"{d} {c}{rest} N 007",
+    lambda d, c, rest: f"{d} {c}{rest} N \u0663",
+    lambda d, c, rest: f"{d} \\u{ord(_dec_char(c)):04x}{rest}",
+    lambda d, c, rest: f"{d} \\uZZZZ{rest}",
+    lambda d, c, rest: f"{d} ab{rest}",
+    lambda d, c, rest: "",
+]
+
+
+@st.composite
+def trie_sections(draw):
+    """A model text whose trie lines are mutated: lines repeated, moved or
+    dropped, and lines edited in ways the loop reads or refuses."""
+    text = draw(st.sampled_from([DUMP, ODD_TRIE_DUMP]))
+    block = _trie_block(text)[1]
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 2))):
+        i = rng.randrange(len(block))
+        kind = draw(st.sampled_from(["repeat", "move", "drop", "edit", "edit"]))
+        if kind == "repeat":
+            block.insert(rng.randrange(len(block) + 1), block[i])
+        elif kind == "move":
+            block.insert(rng.randrange(len(block)), block.pop(i))
+        elif kind == "drop" and len(block) > 1:
+            del block[i]
+        elif block[i].count(" ") and block[i].split(" ", 1)[0].isdecimal():
+            depth, char, *rest = block[i].split(" ", 2)
+            try:
+                block[i] = draw(st.sampled_from(TRIE_EDITS))(depth, char, "".join(" " + r for r in rest))
+            except ModelFormatError:  # an edited character field that is not a character
+                pass
+    return _with_trie_block(text, block)
+
+
+class TestTrieBulkPass:
+    """The bulk pass reads the trie section exactly as the per-line loop
+    does, or declines and leaves it to the loop."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=trie_sections())
+    def test_bulk_pass_and_line_loop_agree(self, text):
+        outcome = _table_outcome(text)
+        assert outcome == _table_loop_outcome(text)
+        event("refused" if isinstance(outcome, tuple) else "loaded")
+        block = _trie_block(text)[1]
+        bulk = modelfile._bulk_trie(block, TS.lookup)
+        event("bulk pass declined" if bulk is None else "bulk pass taken")
+        if bulk is not None:
+            loop = modelfile._read_trie_lines(enumerate(block, 1), TS.lookup)
+            assert list(bulk.items()) == list(loop.items())
+
+    @pytest.mark.parametrize(
+        "tagset",
+        [build_synthetic_hmm(n_tags=n, vocab=n).tagset for n in (10, 60, 83)] + [default_tagset()],
+        ids=["synthetic-10", "synthetic-60", "synthetic-83", "engcg"],
+    )
+    def test_every_dumped_model_takes_the_bulk_pass(self, tagset):
+        text = _model_on(tagset)
+        with mock.patch.object(modelfile, "_read_trie_lines", side_effect=AssertionError):
+            lex, trans = loads_model(text)
+        assert dumps_model(lex, trans) == text
+        assert _table_outcome(text) == _table_loop_outcome(text)
+
+    def test_escaped_characters_take_the_bulk_pass(self):
+        with mock.patch.object(modelfile, "_read_trie_lines", side_effect=AssertionError):
+            lex, trans = loads_model(ODD_TRIE_DUMP)
+        assert "\\u0009" in ODD_TRIE_DUMP and "\\u2028" in ODD_TRIE_DUMP
+        assert dumps_model(lex, trans) == ODD_TRIE_DUMP
