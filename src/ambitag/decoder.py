@@ -15,7 +15,8 @@ A lattice is a batch of sentences, longest first, that share the candidate
 set at each position, so every table has a leading sentence axis and the
 sentences still going at position t are a prefix of the batch: one
 transition block and one einsum per step serve the whole batch.  One
-sentence is a batch of one.  `decode_corpus` batches the sentences in
+sentence is a batch of one.  `decode_corpus` takes cohort sentences from
+an analyser or from `cohorts_for_tokens`, and batches the sentences in
 which every word has one and the same candidate set (every lexicon lattice
 when `support_epsilon` is 0), up to BATCH_CELLS forward-table cells per
 batch; every other sentence is a batch of one.  Each sentence keeps its
@@ -40,11 +41,12 @@ Viterbi takes the log of each distinct block itself, once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, Cohort
+from .corpus import Cohort
 from .errors import DeadLatticeError
 from .lexicon import LexicalModel
 from .ngram import TransitionModel
@@ -59,13 +61,13 @@ BATCH_CELLS = 2**17
 
 
 class Column:
-    """One word's lattice column: its candidate tag ids in ascending order
-    and their relative lexical scores."""
+    """One word's lattice column: its distinct candidate tag ids in
+    ascending order and their relative lexical scores."""
 
     __slots__ = ("ids", "aprime")
 
     def __init__(self, lex: LexicalModel, cohort: Cohort):
-        self.ids = sorted(t.index for t in cohort.candidates)
+        self.ids = sorted({t.index for t in cohort.candidates})
         self.aprime = lex.converse_lexical_probs(cohort.token.surface, self.ids)
 
 
@@ -358,32 +360,25 @@ def _batches(columns: list[list[Column]]) -> list[list[int]]:
 def decode_corpus(
     lex: LexicalModel,
     trans: TransitionModel,
-    corpus: list[AnnotatedSentence],
+    sentences: list[list[Cohort]],
     with_viterbi: bool = True,
 ) -> list[SentenceDecode]:
-    """`decode_sentence` of each sentence's lexicon cohorts, decoded in batches.
+    """`decode_sentence` of each cohort sentence, decoded in batches.
 
-    Each distinct surface's candidates are looked up once; its cohorts share
-    that list and one lattice column.  Sentences in which every word has the
-    same candidate set are batched, longest first, up to BATCH_CELLS
-    forward-table cells per batch; every other sentence is a batch of one.
-    When a lattice dies, the sentences are decoded again one at a time in
-    order, so the first that fails raises its own error.
+    Cohorts with the same surface and candidate-list object (as
+    `cohorts_for_tokens` gives a surface's cohorts) share one lattice
+    column.  Sentences in which every word has the same candidate set are
+    batched as in the module docstring; when a lattice dies, the sentences
+    are decoded again one at a time in order, so the first that fails
+    raises its own error.
     """
-    built: dict[str, tuple[list[Tag], Column]] = {}  # surface -> (candidates, column)
-    sentences: list[list[Cohort]] = []
-    columns: list[list[Column]] = []
-    for sent in corpus:
-        cohorts, row = [], []
-        for tok in sent.tokens:
-            hit = built.get(tok.surface)
-            if hit is None:
-                cohort = Cohort(tok, lex.candidate_tags(tok.surface))
-                hit = built[tok.surface] = (cohort.candidates, Column(lex, cohort))
-            cohorts.append(Cohort(tok, hit[0]))
-            row.append(hit[1])
-        sentences.append(cohorts)
-        columns.append(row)
+    # `sentences` keeps every candidate list alive, so its id is a key here
+    built: dict[tuple[str, int], Column] = {}
+    for cohort in chain.from_iterable(sentences):
+        key = (cohort.token.surface, id(cohort.candidates))
+        if key not in built:
+            built[key] = Column(lex, cohort)
+    columns = [[built[c.token.surface, id(c.candidates)] for c in cohorts] for cohorts in sentences]
     out: list[SentenceDecode] = [None] * len(sentences)  # type: ignore[list-item]
     try:
         for batch in _batches(columns):
@@ -436,5 +431,7 @@ def apply_threshold(
 
 
 def cohorts_for_tokens(lex: LexicalModel, tokens) -> list[Cohort]:
-    """One cohort per token, each holding the model's own candidate tags."""
-    return [Cohort(tok, lex.candidate_tags(tok.surface)) for tok in tokens]
+    """One cohort per token with the model's candidate tags; a surface's cohorts share one list."""
+    tokens = list(tokens)
+    cands = {s: lex.candidate_tags(s) for s in dict.fromkeys(tok.surface for tok in tokens)}
+    return [Cohort(tok, cands[tok.surface]) for tok in tokens]

@@ -22,7 +22,7 @@ from .decoder import (
     MODE_VITERBI,
     SentenceDecode,
     apply_threshold,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
-    cohorts_for_tokens,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
+    cohorts_for_tokens,
     decode_corpus,
     decode_sentence,  # noqa: F401  (benchmarks/tracer.py wraps it under this module)
     primary_ids,
@@ -149,10 +149,13 @@ def score(
     gold: list[AnnotatedSentence],
     lex: LexicalModel,
     trans: TransitionModel,
-    threshold: float = 1.0,
+    threshold: float | list[float] = 1.0,
     mode: str = MODE_POSTERIOR,
-) -> EvalReport:
-    decodes = decode_corpus(lex, trans, gold, mode == MODE_VITERBI)
+) -> EvalReport | list[EvalReport]:
+    """`score_decodes` of the gold corpus, decoded from its lexicon cohorts."""
+    cohorts = iter(cohorts_for_tokens(lex, [tok for sent in gold for tok in sent.tokens]))
+    sentences = [[next(cohorts) for _ in sent.tokens] for sent in gold]
+    decodes = decode_corpus(lex, trans, sentences, mode == MODE_VITERBI)
     return score_decodes(gold, decodes, lex, threshold, mode)
 
 
@@ -163,8 +166,7 @@ def tradeoff_sweep(
     thresholds: list[float],
     mode: str = MODE_POSTERIOR,
 ) -> TradeoffTable:
-    decodes = decode_corpus(lex, trans, gold, mode == MODE_VITERBI)
-    reports = score_decodes(gold, decodes, lex, list(thresholds), mode)
+    reports = score(gold, lex, trans, list(thresholds), mode)
     return TradeoffTable(
         [(theta, rep.ambiguity, rep.error_rate) for theta, rep in zip(thresholds, reports)]
     )

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ambitag.corpus import AnnotatedSentence, Cohort, Token, parse_annotated
-from ambitag.decoder import apply_threshold, decode_sentence
+from ambitag.decoder import apply_threshold, cohorts_for_tokens, decode_sentence
 from ambitag.evalstats import (
     agreement_critical_rate,
     binomial_ci_halfwidth,
@@ -133,7 +133,7 @@ def synth_10k():
 def test_c5_threshold_monotonicity(synth_10k):
     model, corpus, lex, trans = synth_10k
     thetas = [1.0, 0.5, 0.1, 0.0]
-    for dec in decode_corpus(lex, trans, corpus):
+    for dec in decode_corpus(lex, trans, [cohorts_for_tokens(lex, s.tokens) for s in corpus]):
         per_theta = [
             [set(w.retained) for w in apply_threshold(dec, th).words] for th in thetas
         ]
@@ -175,7 +175,7 @@ def test_c7_zero_threshold_limit_behavior(synth_10k):
     lex = LexicalModel.train(train, model.tagset, SmoothingConfig(support_epsilon=0.0))
     trans = TransitionModel.train(train, model.tagset)
     eval_slice = corpus[half:][:150]
-    decodes = decode_corpus(lex, trans, eval_slice)
+    decodes = decode_corpus(lex, trans, [cohorts_for_tokens(lex, s.tokens) for s in eval_slice])
     full_set = set(lex.tagset.word_tags()) - {missing}
     unknowns = 0
     for sent, dec in zip(eval_slice, decodes):

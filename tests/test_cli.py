@@ -9,15 +9,16 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import ambitag
 from ambitag import decoder
 from ambitag.cli import RunConfig, main
-from ambitag.corpus import parse_annotated, parse_cohorts, word_count
-from ambitag.errors import ConfigError
+from ambitag.corpus import parse_annotated, parse_cohorts, read_text, word_count
+from ambitag.errors import ConfigError, InputError
 from ambitag.lexicon import SmoothingConfig
 from ambitag.modelfile import load_model
-from ambitag.tagset import load_tagset
+from ambitag.tagset import load_tagset, parse_tagset
 
 from oracles import brute_force_decode, path_weight
 
@@ -754,6 +755,77 @@ class TestAgree:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: observed rate must be in [0, 1]") and err.count("\n") == 1
+
+
+# Single-line mutants of a gold corpus and a cohort file: one line's field,
+# space-separated word or whole text replaced, or the line dropped.
+ODD_TEXT = st.sampled_from(
+    ["", "x", "\t", " ", "#", "N V", "@dot", "<s>", "N\tV", "\ufeff", "\r", "\x85", "\\t"]
+) | st.text(max_size=4)
+MUTATED_INPUTS = {
+    "eval": (TRAIN_TEXT, parse_annotated),
+    "tag": ("\n".join([COHORT_TEXT, "dog\tN\nbarks\tV N\n", COHORT_TEXT]), parse_cohorts),
+}
+
+
+def _mutant(data, text: str) -> str:
+    lines = text.split("\n")
+    idx = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["field", "word", "line", "drop"]))
+    if how == "drop":
+        del lines[idx]
+    elif how == "line":
+        lines[idx] = data.draw(ODD_TEXT)
+    else:
+        sep = "\t" if how == "field" else " "
+        parts = lines[idx].split(sep)
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(ODD_TEXT)
+        lines[idx] = sep.join(parts)
+    return "\n".join(lines)
+
+
+class TestMutatedInputs:
+    """Any single-line mutant of an input either parses or raises an
+    InputError, and a mutant the parser refuses exits 2 with one `error:`
+    line and nothing on stdout."""
+
+    @pytest.mark.parametrize("command", MUTATED_INPUTS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_mutant_parses_or_raises_input_error(self, command, data):
+        text, parse = MUTATED_INPUTS[command]
+        try:
+            parse(_mutant(data, text), parse_tagset(TS_TEXT))
+        except InputError:
+            pass
+
+    @pytest.mark.parametrize("command", MUTATED_INPUTS)
+    @settings(
+        max_examples=60, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_a_refused_mutant_is_exit_2_with_one_error_line(self, ws, capsys, command, data):
+        text, parse = MUTATED_INPUTS[command]
+        mutant = _mutant(data, text)
+        path = ws / "mutant.txt"
+        path.write_text(mutant, encoding="utf-8")
+        if not (ws / "model.txt").exists():
+            train_model(ws)
+        capsys.readouterr()
+        rc = main([command, str(path), "--model", str(ws / "model.txt")])
+        out, err = capsys.readouterr()
+        event(f"exit {rc}")
+        try:
+            parse(read_text(str(path)), parse_tagset(TS_TEXT))  # as the CLI reads it
+        except InputError:
+            assert rc == 2
+        # a mutant that parses may still be refused (an empty gold corpus) or
+        # leave no path through a sentence (a dead lattice, exit 1)
+        assert rc in (0, 1, 2)
+        if rc:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestConvert:

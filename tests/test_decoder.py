@@ -60,6 +60,12 @@ def models(seed: int, k_lex: float = 1.0, k_trans: float = 1.0):
     return lex, trans
 
 
+def lexicon_cohorts(lex, corpus):
+    """Each sentence's lexicon cohorts, from one cohorts_for_tokens call."""
+    cohorts = iter(cohorts_for_tokens(lex, [tok for sent in corpus for tok in sent.tokens]))
+    return [[next(cohorts) for _ in sent.tokens] for sent in corpus]
+
+
 def aprime_dicts(lex, cohorts, ids):
     return [
         {i: lex.converse_lexical_probs(c.token.surface, [i])[0] for i in pos_ids}
@@ -109,6 +115,23 @@ class TestAgainstEnumeration:
         w = path_weight(trans, ap, decode.viterbi_ids)
         assert w >= (1.0 - 1e-9) * best_w
         assert math.exp(decode.viterbi_logp) == pytest.approx(w, rel=1e-9)
+
+
+class TestCohortInput:
+    def test_a_repeated_candidate_is_one_state(self):
+        lex, trans = models(seed=0)
+        t0, t1, t2, t3 = TS.word_tags()
+
+        def decode(first):
+            cohorts = [Cohort(Token("wa"), first), Cohort(Token("wb"), [t2, t3])]
+            return decode_sentence(lex, trans, cohorts)
+
+        got, want = decode([t0, t0, t1]), decode([t0, t1])
+        assert got.posteriors == want.posteriors
+        assert got.log_likelihood == want.log_likelihood
+        assert (got.viterbi_ids, got.viterbi_logp) == (want.viterbi_ids, want.viterbi_logp)
+        for post in got.posteriors:
+            assert abs(sum(post.values()) - 1.0) <= 1e-12
 
 
 class TestInvariances:
@@ -374,6 +397,15 @@ class TestCohortConstruction:
         assert cohorts[0].candidates == lex.candidate_tags("wa")
         assert [t.symbol for t in cohorts[1].candidates] == ["@dot"]
 
+    def test_a_surface_is_looked_up_once_and_its_cohorts_share_the_list(self, monkeypatch):
+        lex, trans = models(seed=13)
+        looked_up = []
+        candidate_tags = lex.candidate_tags
+        monkeypatch.setattr(lex, "candidate_tags", lambda s: looked_up.append(s) or candidate_tags(s))
+        cohorts = cohorts_for_tokens(lex, (Token(s) for s in ["wa", "wb", "wa", "wa"]))
+        assert looked_up == ["wa", "wb"]
+        assert cohorts[0].candidates is cohorts[2].candidates is cohorts[3].candidates
+
     def test_candidates_sorted_by_index_inside_lattice(self):
         lex, trans = models(seed=14)
         cohorts = [Cohort(Token("wa"), [TS.tag("C"), TS.tag("A")])]
@@ -508,7 +540,7 @@ class TestBatchedDecode:
             for sent in surfaces
         ]
         with mock.patch.object(decoder, "BATCH_CELLS", cap):
-            batched = decode_corpus(lex, trans, corpus, with_viterbi)
+            batched = decode_corpus(lex, trans, lexicon_cohorts(lex, corpus), with_viterbi)
         assert len(batched) == len(corpus)
         for sent, got in zip(corpus, batched):
             cohorts = cohorts_for_tokens(lex, sent.tokens)
@@ -535,9 +567,48 @@ class TestBatchedDecode:
         ]
         for cap in (1, 40, 300, decoder.BATCH_CELLS):
             with mock.patch.object(decoder, "BATCH_CELLS", cap):
-                batched = decode_corpus(lex, trans, corpus, with_viterbi)
+                batched = decode_corpus(lex, trans, lexicon_cohorts(lex, corpus), with_viterbi)
             for got, one in zip(batched, want, strict=True):
                 assert_same_decode(got, one)
+
+    @given(
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([1, 40, decoder.BATCH_CELLS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_analyser_cohorts_equal_one_sentence_at_a_time(self, seed, draw_seed, with_viterbi, cap):
+        # random candidate subsets, each list object drawn from a small pool,
+        # so surfaces share lists and a surface has several
+        lex, trans = models(seed)
+        rng = random.Random(draw_seed)
+        word_tags = TS.word_tags()
+        pool = [word_tags] + [rng.sample(word_tags, rng.randint(1, 4)) for _ in range(4)]
+        sentences = [
+            [Cohort(Token(rng.choice(VOCAB)), rng.choice(pool)) for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(1, 10))
+        ]
+        want = [decode_sentence(lex, trans, s, with_viterbi) for s in sentences]
+        with mock.patch.object(decoder, "BATCH_CELLS", cap):
+            batched = decode_corpus(lex, trans, sentences, with_viterbi)
+        for got, one in zip(batched, want, strict=True):
+            assert_same_decode(got, one)
+
+    @pytest.mark.parametrize("with_viterbi", [False, True])
+    def test_a_column_belongs_to_one_surface_and_one_list(self, with_viterbi):
+        lex, trans = models(seed=2)
+        a, b, c, d = TS.word_tags()
+        every, pair = [a, b, c, d], [a, c]
+        sentences = [
+            [Cohort(Token("wa"), every), Cohort(Token("wb"), every)],
+            [Cohort(Token("wa"), [b, d]), Cohort(Token("wa"), every)],  # wa: a second list
+            [Cohort(Token("wb"), pair), Cohort(Token("wc"), pair)],  # one list, two surfaces
+            [Cohort(Token("wc"), [d, c, b, a]), Cohort(Token("wb"), every)],
+        ]
+        want = [decode_sentence(lex, trans, s, with_viterbi) for s in sentences]
+        for got, one in zip(decode_corpus(lex, trans, sentences, with_viterbi), want, strict=True):
+            assert_same_decode(got, one)
 
     def test_sparse_lexicons_mix_batched_and_lone_sentences(self):
         for seed in range(3):
@@ -568,7 +639,7 @@ class TestBatchedDecode:
             return real_forward(lattice)
 
         monkeypatch.setattr(decoder, "forward", spy)
-        decode_corpus(lex, trans, corpus, with_viterbi=False)
+        decode_corpus(lex, trans, lexicon_cohorts(lex, corpus), with_viterbi=False)
         cells = sum(10 + (len(s) - 1) * 100 for s in corpus)
         assert sum(batch_sizes) == 150  # every sentence in one call
         assert len(batch_sizes) <= -(-cells // decoder.BATCH_CELLS) + 1
@@ -576,7 +647,7 @@ class TestBatchedDecode:
         punctuated = random_corpus(seed=4, n_sentences=40)
         sparse = [s for s in punctuated if s.tokens[-1].surface == "."]
         lex, trans = models(seed=4)
-        decode_corpus(lex, trans, sparse, with_viterbi=False)
+        decode_corpus(lex, trans, lexicon_cohorts(lex, sparse), with_viterbi=False)
         assert batch_sizes == [1] * len(sparse)
 
     def test_forward_tables_do_not_grow_with_the_corpus(self):
@@ -586,12 +657,14 @@ class TestBatchedDecode:
         trans = TransitionModel.train(train, hmm.tagset)
         corpus = sample_corpus(hmm, 30000, seed=5)[:800]
         assert len(corpus) == 800
-        decode_corpus(lex, trans, corpus, with_viterbi=False)  # fills the lexicon cache
+        # fills the lexicon cache
+        decode_corpus(lex, trans, lexicon_cohorts(lex, corpus), with_viterbi=False)
         transient = []
         for size in (200, 800):
+            cohorts = lexicon_cohorts(lex, corpus[:size])
             tracemalloc.start()
             try:
-                decodes = decode_corpus(lex, trans, corpus[:size], with_viterbi=False)
+                decodes = decode_corpus(lex, trans, cohorts, with_viterbi=False)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -623,7 +696,7 @@ class TestBatchErrors:
             warnings.simplefilter("error")
             for with_viterbi in (False, True):
                 with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 2 \('qq'\)"):
-                    decode_corpus(lex, trans, corpus, with_viterbi)
+                    decode_corpus(lex, trans, lexicon_cohorts(lex, corpus), with_viterbi)
 
     def test_the_earlier_sentence_raises_though_a_later_one_dies_sooner(self):
         # "aa aa cc" (every word A) dies at its third word, since A never
@@ -638,7 +711,8 @@ class TestBatchErrors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 3 \('cc'\)"):
-                decode_corpus(lex, trans, corpus)
+                decode_corpus(lex, trans, lexicon_cohorts(lex, corpus))
             with pytest.raises(DeadLatticeError, match=r"^dead lattice at position 2 \('aa'\)"):
-                decode_corpus(lex, trans, corpus[:1] + corpus[2:])
-        assert decode_corpus(lex, trans, corpus[:1])[0].posteriors == [{0: 1.0}] * 2
+                decode_corpus(lex, trans, lexicon_cohorts(lex, corpus[:1] + corpus[2:]))
+        decode = decode_corpus(lex, trans, lexicon_cohorts(lex, corpus[:1]))[0]
+        assert decode.posteriors == [{0: 1.0}] * 2

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambitag import evalstats
 from ambitag.corpus import (
     AnnotatedSentence,
     Cohort,
@@ -14,7 +15,9 @@ from ambitag.corpus import (
     split_for_learning_curve,
     word_count,
 )
-from ambitag.decoder import MODE_POSTERIOR, MODE_VITERBI, SentenceDecode, apply_threshold
+from ambitag.decoder import (
+    MODE_POSTERIOR, MODE_VITERBI, SentenceDecode, apply_threshold, cohorts_for_tokens,
+)
 from ambitag.errors import InputError
 from ambitag.evalstats import (
     agreement_critical_rate,
@@ -78,7 +81,7 @@ class TestScoring:
     def test_is_known_is_asked_once_per_distinct_surface(self, monkeypatch):
         lex, trans = _train("\n\n".join(["dog\tN"] * 4))
         gold = parse_annotated("\n\n".join(["dog\tN"] * 8 + ["cat\tN", "cup\tV", "cat\tN"]), TS)
-        decodes = decode_corpus(lex, trans, gold)
+        decodes = decode_corpus(lex, trans, [cohorts_for_tokens(lex, s.tokens) for s in gold])
         asked = []
         is_known = lex.is_known
         monkeypatch.setattr(lex, "is_known", lambda surface: asked.append(surface) or is_known(surface))
@@ -110,7 +113,7 @@ class TestScoring:
     def test_length_mismatches_fail_loud(self):
         lex, trans = _train("dog\tN\n")
         gold = parse_annotated("dog\tN\n", TS)
-        decodes = decode_corpus(lex, trans, gold)
+        decodes = decode_corpus(lex, trans, [cohorts_for_tokens(lex, s.tokens) for s in gold])
         with pytest.raises(InputError, match="mismatch"):
             score_decodes(gold + gold, decodes, lex, 1.0)
         two = parse_annotated("dog\tN\ndog\tN\n", TS)
@@ -125,7 +128,7 @@ class TestScoring:
     def test_bad_threshold_and_mode_rejected(self):
         lex, trans = _train("dog\tN\n")
         gold = parse_annotated("dog\tN\n", TS)
-        decodes = decode_corpus(lex, trans, gold)
+        decodes = decode_corpus(lex, trans, [cohorts_for_tokens(lex, s.tokens) for s in gold])
         for theta in (1.5, -0.1, [0.5, 1.5]):
             with pytest.raises(ValueError, match="threshold must be in"):
                 score_decodes(gold, decodes, lex, theta)
@@ -223,7 +226,8 @@ class TestVectorisedScoring:
             AnnotatedSentence([Token(s) for s, _ in sent], [tag for _, tag in sent])
             for sent in sentences
         ]
-        _assert_matches_recount(gold, decode_corpus(LEX4, TRANS4, gold), data, mode)
+        cohorts = [cohorts_for_tokens(LEX4, s.tokens) for s in gold]
+        _assert_matches_recount(gold, decode_corpus(LEX4, TRANS4, cohorts), data, mode)
 
 
 class TestTradeoff:
@@ -259,6 +263,19 @@ class TestTradeoff:
         assert lines[1].startswith("1.0,")
         text = table.to_table()
         assert "Threshold" in text and len(text.splitlines()) == 3
+
+    def test_one_lookup_per_distinct_surface_in_one_cohort_build(self, monkeypatch):
+        gold, lex, trans = self._fixture()
+        gold += parse_annotated("cat\tN\nruns\tV\n\ncat\tN\n", TS)
+        looked_up, builds = [], []
+        candidate_tags, build = lex.candidate_tags, evalstats.cohorts_for_tokens
+        monkeypatch.setattr(lex, "candidate_tags", lambda s: looked_up.append(s) or candidate_tags(s))
+        monkeypatch.setattr(
+            evalstats, "cohorts_for_tokens", lambda *a: builds.append(a) or build(*a)
+        )
+        tradeoff_sweep(gold, lex, trans, [1.0, 0.5, 0.0])
+        assert sorted(looked_up) == ["cat", "dog", "runs"]
+        assert len(builds) == 1
 
 
 class TestLearningCurve:
