@@ -14,22 +14,22 @@ drops the primary tag.
 A lattice is a batch of sentences, longest first, that share the candidate
 set at each position, so every table has a leading sentence axis and the
 sentences still going at position t are a prefix of the batch: one
-transition block and one einsum per step serve the whole batch.  One
-sentence is a batch of one.  `decode_corpus` takes cohort sentences from
-an analyser or from `cohorts_for_tokens`, and batches the sentences in
-which every word has one and the same candidate set (every lexicon lattice
-when `support_epsilon` is 0), up to BATCH_CELLS forward-table cells per
-batch; every other sentence is a batch of one.  Each sentence keeps its
-own scaling factors, and every sum runs in the order a batch of one runs
-it, so a batched decode equals the one-at-a-time decode to the last bit.
+transition block and one einsum per step serve the whole batch.
+`decode_corpus` is the one decoder.  It takes cohort sentences from an
+analyser or from `cohorts_for_tokens`, and batches the sentences in which
+every word has one and the same candidate set (every lexicon lattice when
+`support_epsilon` is 0), up to BATCH_CELLS forward-table cells per batch;
+every other sentence is a batch of one.  `decode_sentence` is
+`decode_corpus` of one sentence.  Each sentence keeps its own scaling
+factors, and every sum runs in the order a batch of one runs it, so a
+batched decode equals the one-at-a-time decode to the last bit.
 
 Every position is reached by one step rule.  Step t is the transition
 block P[C_t-2, C_t-1, C_t] into position t, with the sentence boundary
 standing in for the positions before the first word, so step 0 is
 P[⊥, ⊥, C_0], shaped (1, 1, |C_0|).  The forward, backward and Viterbi
 passes start from a boundary state of ones (zeros in log space) and walk
-the steps [init, *tensors] in one loop; entry t is always the step into
-position t.
+`Lattice.steps` in one loop; entry t is always the step into position t.
 
 A lattice gathers each distinct (previous, current, next) candidate-set
 triple's transition block once; every step with that triple shares the
@@ -82,17 +82,16 @@ class Lattice:
     # per position t: (sentences longer than t, 1, |C_t|), the batch's prefix,
     # shaped to scale the (sentences, |C_t-1|, |C_t|) tables
     aprime: list[np.ndarray]
-    # The steps into each position, read-only; steps with the same
-    # candidate-id triple reference one array.  init is step 0, the block
-    # P[⊥, ⊥, C_0] shaped (1, 1, |C_0|); tensors[t - 1] is step t, shaped
-    # (|C_t-2|, |C_t-1|, |C_t|), with 1 for the boundary before the first word.
-    init: np.ndarray
-    tensors: list[np.ndarray]
+    # Entry t is the step into position t, read-only; steps with the same
+    # candidate-id triple reference one array.  Step t is shaped
+    # (|C_t-2|, |C_t-1|, |C_t|), with 1 for the boundary before the first
+    # word, so step 0 is P[⊥, ⊥, C_0] shaped (1, 1, |C_0|).
+    steps: list[np.ndarray]
 
     @property
-    def steps(self) -> list[np.ndarray]:
-        """[init, *tensors]: entry t is the step into position t."""
-        return [self.init, *self.tensors]
+    def tensors(self) -> list[np.ndarray]:
+        """steps[1:]: the steps between words."""
+        return self.steps[1:]
 
 
 def build_lattice(
@@ -139,7 +138,7 @@ def build_lattice(
             aprime.append(columns[0][t].aprime[None, None])
         else:
             aprime.append(np.array([row[t].aprime for row in columns[:active]])[:, None, :])
-    return Lattice(list(sentences), ids, aprime, steps[0], steps[1:])
+    return Lattice(list(sentences), ids, aprime, steps)
 
 
 def _dead_lattice(lattice: Lattice, row: int, t: int) -> DeadLatticeError:
@@ -322,12 +321,13 @@ def decode_sentence(
     cohorts: list[Cohort],
     with_viterbi: bool = True,
 ) -> SentenceDecode:
-    """Posteriors for every word; the Viterbi path too when with_viterbi.
+    """Posteriors for every word; the Viterbi path too when with_viterbi:
+    `decode_corpus` of the one sentence.
 
     A dead lattice raises the same DeadLatticeError either way, since the
     forward pass runs first and fails wherever Viterbi would.
     """
-    return _decode(build_lattice(lex, trans, cohorts), with_viterbi)[0]
+    return decode_corpus(lex, trans, [cohorts], with_viterbi)[0]
 
 
 def _batches(columns: list[list[Column]]) -> list[list[int]]:
@@ -363,7 +363,8 @@ def decode_corpus(
     sentences: list[list[Cohort]],
     with_viterbi: bool = True,
 ) -> list[SentenceDecode]:
-    """`decode_sentence` of each cohort sentence, decoded in batches.
+    """Each cohort sentence decoded, in batches; an empty sentence raises
+    ValueError.
 
     Cohorts with the same surface and candidate-list object (as
     `cohorts_for_tokens` gives a surface's cohorts) share one lattice
@@ -372,6 +373,8 @@ def decode_corpus(
     are decoded again one at a time in order, so the first that fails
     raises its own error.
     """
+    if not all(sentences):
+        raise ValueError("empty sentence")
     # `sentences` keeps every candidate list alive, so its id is a key here
     built: dict[tuple[str, int], Column] = {}
     for cohort in chain.from_iterable(sentences):
@@ -388,8 +391,8 @@ def decode_corpus(
             for i, decode in zip(batch, _decode(lattice, with_viterbi)):
                 out[i] = decode
     except DeadLatticeError:
-        for cohorts in sentences:
-            decode_sentence(lex, trans, cohorts, with_viterbi)
+        for cohorts, row in zip(sentences, columns):
+            _decode(build_lattice(lex, trans, cohorts, columns=[row]), with_viterbi)
         raise
     return out
 

@@ -21,7 +21,6 @@ bypass the index entirely (exact-match table).
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
@@ -269,9 +268,7 @@ class LexicalModel:
         priors = np.zeros(n)
         if word_tag_counts.sum() > 0:
             priors = word_tag_counts / word_tag_counts.sum()
-        else:
-            if not pairs:
-                warnings.warn("empty training corpus: uniform lexical priors")
+        else:  # no word tokens, as in an empty corpus: uniform priors
             priors[word_idx] = 1.0 / len(word_idx)
         punct_priors = np.zeros(n)
         if punct_tag_counts.sum() > 0:

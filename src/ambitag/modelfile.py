@@ -24,10 +24,11 @@ distribution, or the model is rejected, naming the line of that count or
 of that class's header.  Punct-table surfaces are written unescaped, so one
 holding a tab or a line break cannot be saved.
 
-The trigram and trie sections are each read by a bulk pass first, and by
-a per-line loop that defines a valid line only if the bulk pass declines;
-the loop then reads the section from its first line, so the two read every
-file alike and every error keeps its message and line number.  The
+The trigram and trie sections are each read by one reader,
+`_read_section`: a bulk pass first, and a per-line loop that defines a
+valid line only if the bulk pass declines; the loop then reads the section
+from its first line, so the two read every file alike and every error
+keeps its message and line number.  The
 trigram pass (`bulkparse`) encodes each slab of lines once and checks and
 parses it as one byte array, with no Python object per field.  It takes
 only lines in the form `dumps_model` writes, ``a b c n`` single-spaced,
@@ -39,7 +40,7 @@ and count fields.  It builds each surface from the one before it and
 takes only single-spaced lines whose depths walk the trie, whose surfaces
 come in sorted order, once each, and whose tags ascend on each line.  A
 zero-prior error is located by reading both surface sections again with
-their loops.
+their loops alone.
 """
 
 from __future__ import annotations
@@ -205,14 +206,26 @@ def _count(field: str, what: str) -> int:
     return n
 
 
-def _term_counts(fields: list[str], lookup: dict[str, int], into: dict[int, int]) -> None:
-    """``tag count tag count ...`` added to `into`, {tag id: count}; a
-    repeated tag sums, and each sum stays below 2^63."""
+# {(surface, tag id): the first line that counts that tag for that surface}
+_Where = dict[tuple[str, int], int]
+
+
+def _term_counts(
+    fields: list[str], lookup: dict[str, int], table: dict[str, dict[int, int]],
+    surface: str, where: _Where | None, lineno: int,
+) -> None:
+    """``tag count tag count ...`` on line `lineno` added to the surface's
+    row of `table`, {tag id: count}; a repeated tag sums, and each sum stays
+    below 2^63.  `where`, if given, gets the line of each count."""
+    into = table.setdefault(surface, {})
     for sym, count in zip(fields[0::2], fields[1::2], strict=True):
         t = lookup[sym]
         n = into[t] = into.get(t, 0) + _count(count, "tag")
         if n >= 2**63:
             raise ModelFormatError("tag counts sum to 2^63 or more")
+    if where is not None:
+        for t in into:
+            where.setdefault((surface, t), lineno)
 
 
 def _read_dist(lines: _Lines, header: str, lookup: dict[str, int]) -> np.ndarray:
@@ -246,10 +259,6 @@ def _read_config(lines: _Lines) -> SmoothingConfig:
         raise lines.error(str(exc)) from None
 
 
-# {(surface, tag id): the first line that counts that tag for that surface}
-_Where = dict[tuple[str, int], int]
-
-
 def _read_punct_table(
     lines: _Lines, lookup: dict[str, int], where: _Where | None = None
 ) -> dict[str, dict[int, int]]:
@@ -263,11 +272,7 @@ def _read_punct_table(
             fields = rest.split()
             if not fields:
                 raise ModelFormatError("punct-table entry has no counts")
-            row = table.setdefault(surface, {})
-            _term_counts(fields, lookup, row)
-            if where is not None:
-                for t in row:
-                    where.setdefault((surface, t), lineno)
+            _term_counts(fields, lookup, table, surface, where, lineno)
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "punct-table entry") from None
     return table
@@ -295,11 +300,7 @@ def _read_trie_lines(
             chars.append(_dec_char(ch))
             if terms:
                 surface = "".join(reversed(chars))  # the path spells it backwards
-                row = table.setdefault(surface, {})
-                _term_counts(terms, lookup, row)
-                if where is not None:
-                    for t in row:
-                        where.setdefault((surface, t), lineno)
+                _term_counts(terms, lookup, table, surface, where, lineno)
             bare = 0 if terms else lineno
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "trie line") from None
@@ -384,20 +385,6 @@ def _bulk_trie(block: list[str], lookup: dict[str, int]) -> SurfaceTable | None:
     return SurfaceTable(reversed_surfaces, rows, ids, counts)
 
 
-def _read_trie(
-    lines: _Lines, lookup: dict[str, int], where: _Where | None = None
-) -> SurfaceTable | dict[str, dict[int, int]]:
-    """The trie section: the bulk pass if it takes every line, else the
-    per-line loop from the section's first line, which locates any error.
-    `where`, if given, gets the line of each count from the loop."""
-    n = lines.count("trie ")
-    block = lines.block(n)
-    found = None if where is not None else _bulk_trie(block, lookup)
-    if found is None:
-        found = _read_trie_lines(enumerate(block, lines.pos - n + 1), lookup, where)
-    return found
-
-
 def _read_trigram_lines(
     entries: enumerate, ids: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -420,14 +407,14 @@ def _read_trigram_lines(
     return np.array(windows, dtype).reshape(-1, 3), np.array(counts, np.int64)
 
 
-def _read_trigrams(lines: _Lines, ids: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The trigram section: the bulk pass if it takes every line, else the
-    per-line loop from the section's first line, which locates any error."""
-    n = lines.count("trigrams ")
+def _read_section(lines: _Lines, header: str, bulk, loop, symbols: dict[str, int]):
+    """The section ``header N``: the bulk pass if it takes every line, else
+    the per-line loop from the section's first line, which locates any error."""
+    n = lines.count(header)
     block = lines.block(n)
-    found = bulk_trigrams(block, ids)
+    found = bulk(block, symbols)
     if found is None:
-        found = _read_trigram_lines(enumerate(block, lines.pos - n + 1), ids)
+        found = loop(enumerate(block, lines.pos - n + 1), symbols)
     return found
 
 
@@ -445,7 +432,7 @@ def _read_lexicon(lines: _Lines, tagset: TagSet) -> LexicalModel:
         class_dists[name] = _read_dist(lines, f"class {name} ", lookup)
     start = lines.pos  # where the surface sections start, to read them again on that error
     punct_table = _read_punct_table(lines, lookup)
-    surfaces = _read_trie(lines, lookup)
+    surfaces = _read_section(lines, "trie ", _bulk_trie, _read_trie_lines, lookup)
     try:
         return LexicalModel(
             tagset, config, priors, punct_priors, class_dists, punct_table, surfaces
@@ -457,7 +444,7 @@ def _read_lexicon(lines: _Lines, tagset: TagSet) -> LexicalModel:
             lines.pos = start
             where: dict[str, _Where] = {"punct-table surface": {}, "word surface": {}}
             _read_punct_table(lines, lookup, where["punct-table surface"])
-            _read_trie(lines, lookup, where["word surface"])
+            _read_trie_lines(lines.numbered(lines.count("trie ")), lookup, where["word surface"])
             lineno = where[exc.source][exc.key, exc.tag]
         raise ModelFormatError(f"line {lineno}: {exc}") from None
 
@@ -480,7 +467,9 @@ def loads_model(text: str) -> tuple[LexicalModel, TransitionModel]:
     except ValueError:
         raise lines.bad("config line") from None
     k_lineno = lines.pos
-    windows, counts = _read_trigrams(lines, StateSpace(tagset).ids)
+    windows, counts = _read_section(
+        lines, "trigrams ", bulk_trigrams, _read_trigram_lines, StateSpace(tagset).ids
+    )
     for lineno, line in lines.numbered(len(lines.lines) - lines.pos):
         if line.strip():
             raise ModelFormatError(f"line {lineno}: trailing content in model file")

@@ -18,7 +18,7 @@ from ambitag.corpus import parse_annotated, parse_cohorts, read_text, word_count
 from ambitag.errors import ConfigError, InputError
 from ambitag.lexicon import SmoothingConfig
 from ambitag.modelfile import load_model
-from ambitag.tagset import load_tagset, parse_tagset
+from ambitag.tagset import load_tagset, parse_rules, parse_tagset
 
 from oracles import brute_force_decode, path_weight
 
@@ -120,13 +120,13 @@ class TestTrain:
 
     def test_retrain_is_byte_identical(self, ws):
         a = train_model(ws)
-        first = open(a, encoding="utf-8").read()
+        first = Path(a).read_text(encoding="utf-8")
         b = str(ws / "model2.txt")
         assert main(
             ["train", str(ws / "train.txt"), "--tagset", str(ws / "inventory.tags"),
              "--model", b]
         ) == 0
-        assert open(b, encoding="utf-8").read() == first
+        assert Path(b).read_text(encoding="utf-8") == first
 
     def test_smoothing_flags_reach_the_model(self, ws):
         model = train_model(ws, "--k-lex", "0.25", "--class-mix", "0.1")
@@ -653,6 +653,16 @@ class TestSweep:
             ["sweep", str(ws / "train.txt"), "--model", model, "--thresholds", "1.5,0.5"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "spec, message", [("a,b", "bad threshold list 'a,b'"), (",", "empty threshold list")]
+    )
+    def test_unreadable_list_is_exit_2(self, ws, capsys, spec, message):
+        model = train_model(ws)
+        capsys.readouterr()  # drop the training report
+        rc = main(["sweep", str(ws / "train.txt"), "--model", model, "--thresholds", spec])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCurve:
     def test_points_per_size(self, ws):
@@ -685,6 +695,7 @@ class TestCurve:
             (["--sizes", ""], "empty training size list"),
             (["--sizes=-100,200"], "training sizes must be >= 0, got -100"),
             (["--sizes", "4", "--eval-words", "-5"], "eval words must be >= 1, got -5"),
+            (["--sizes", "1,x"], "bad size list '1,x'"),
         ],
     )
     def test_bad_sizes_are_exit_2(self, ws, capsys, flags, message):
@@ -757,14 +768,34 @@ class TestAgree:
         assert err.startswith("error: observed rate must be in [0, 1]") and err.count("\n") == 1
 
 
-# Single-line mutants of a gold corpus and a cohort file: one line's field,
-# space-separated word or whole text replaced, or the line dropped.
+# Single-line mutants of each input file: one line's field, space-separated
+# word or whole text replaced, or the line dropped.
 ODD_TEXT = st.sampled_from(
     ["", "x", "\t", " ", "#", "N V", "@dot", "<s>", "N\tV", "\ufeff", "\r", "\x85", "\\t"]
 ) | st.text(max_size=4)
-MUTATED_INPUTS = {
-    "eval": (TRAIN_TEXT, parse_annotated),
-    "tag": ("\n".join([COHORT_TEXT, "dog\tN\nbarks\tV N\n", COHORT_TEXT]), parse_cohorts),
+ANALYSIS_TEXT = "dog\n   dog N NOM SG\nruns\n   run V PRES SG3\n   run N NOM PL\n.\n   . PUNCT\n"
+MUTATED_INPUTS = {  # id: the text, its parser and the command that reads it from {path}
+    "eval": (
+        TRAIN_TEXT,
+        lambda text: parse_annotated(text, parse_tagset(TS_TEXT)),
+        "eval {path} --model {model}",
+    ),
+    "tag": (
+        "\n".join([COHORT_TEXT, "dog\tN\nbarks\tV N\n", COHORT_TEXT]),
+        lambda text: parse_cohorts(text, parse_tagset(TS_TEXT)),
+        "tag {path} --model {model}",
+    ),
+    "config": (
+        "# run settings\nk_lex = 0.5\nthreshold = 0.2\n\nmode = viterbi\nseed = 3\n",
+        lambda text: RunConfig().update_from_text(text),
+        "tag {ws}/input.cohorts --model {model} --config {path}",
+    ),
+    "tagset": (TS_TEXT, parse_tagset, "train {ws}/train.txt --tagset {path} --model {ws}/m2.txt"),
+    "rules": (
+        "# rules\nN -> N\nV -> V\nV PRES -> V 1\n\nPUNCT -> @dot\n",
+        lambda text: parse_rules(text, parse_tagset(TS_TEXT)),
+        "convert {ws}/analysis.txt --tagset {ws}/inventory.tags --rules {path}",
+    ),
 }
 
 
@@ -793,9 +824,9 @@ class TestMutatedInputs:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_a_mutant_parses_or_raises_input_error(self, command, data):
-        text, parse = MUTATED_INPUTS[command]
+        text, parse, _ = MUTATED_INPUTS[command]
         try:
-            parse(_mutant(data, text), parse_tagset(TS_TEXT))
+            parse(_mutant(data, text))
         except InputError:
             pass
 
@@ -806,23 +837,26 @@ class TestMutatedInputs:
     )
     @given(data=st.data())
     def test_a_refused_mutant_is_exit_2_with_one_error_line(self, ws, capsys, command, data):
-        text, parse = MUTATED_INPUTS[command]
+        text, parse, argv = MUTATED_INPUTS[command]
         mutant = _mutant(data, text)
         path = ws / "mutant.txt"
         path.write_text(mutant, encoding="utf-8")
         if not (ws / "model.txt").exists():
             train_model(ws)
+            (ws / "analysis.txt").write_text(ANALYSIS_TEXT, encoding="utf-8")
         capsys.readouterr()
-        rc = main([command, str(path), "--model", str(ws / "model.txt")])
+        rc = main(argv.format(path=path, ws=ws, model=ws / "model.txt").split())
         out, err = capsys.readouterr()
         event(f"exit {rc}")
         try:
-            parse(read_text(str(path)), parse_tagset(TS_TEXT))  # as the CLI reads it
+            parse(read_text(str(path)))  # as the CLI reads it
         except InputError:
             assert rc == 2
-        # a mutant that parses may still be refused (an empty gold corpus) or
-        # leave no path through a sentence (a dead lattice, exit 1)
-        assert rc in (0, 1, 2)
+        # a mutant that parses may still be refused (an empty gold corpus, or
+        # a tag inventory without a tag the corpus uses), and a mutant corpus
+        # or cohort file may leave no path through a sentence (a dead lattice,
+        # exit 1)
+        assert rc in ((0, 1, 2) if command in ("eval", "tag") else (0, 2))
         if rc:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -951,6 +985,22 @@ class TestConfigFile:
         rc = main(["eval", str(ws / "train.txt"), "--model", model, "--config", str(ws / "run.cfg")])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("threshold 0.5", "{cfg}:2: expected 'key = value'"),
+            ("mode = foo", "mode must be posterior or viterbi, got 'foo'"),
+        ],
+    )
+    def test_malformed_config_is_exit_2(self, ws, capsys, line, message):
+        model = train_model(ws)
+        capsys.readouterr()  # drop the training report
+        cfg = ws / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n", encoding="utf-8")
+        rc = main(["tag", str(ws / "input.cohorts"), "--model", model, "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
 
     def test_bad_threshold_value_is_exit_2(self, ws, capsys):
         model = train_model(ws)

@@ -234,6 +234,7 @@ class TestSplits:
             ([-5, 10], 10, "training sizes must be >= 0, got -5"),
             ([10], 0, "eval words must be >= 1, got 0"),
             ([10], -5, "eval words must be >= 1, got -5"),
+            ([10, 5], 10, r"training sizes must be ascending, got \[10, 5\]"),
         ],
     )
     def test_bad_sizes_rejected(self, ts, sizes, eval_words, message):
@@ -244,6 +245,13 @@ class TestSplits:
         corpus = _mk_corpus(ts, 4, 5)  # 20 words
         with pytest.raises(InsufficientCorpusError, match="deficit 30"):
             split_for_learning_curve(corpus, [40], 10, seed=0)
+
+    def test_an_overshooting_eval_slice_can_leave_too_few_words(self, ts):
+        # 6 words are enough in total, but the eval slice takes a whole
+        # 3-word sentence for its 1 word
+        corpus = _mk_corpus(ts, 2, 3)
+        with pytest.raises(InsufficientCorpusError, match=r"^needed 5 words, .* only 3 \(deficit 2\)$"):
+            split_for_learning_curve(corpus, [5], 1, seed=0)
 
     def test_reproducible_from_seed(self, ts):
         corpus = _mk_corpus(ts, 30, 3)

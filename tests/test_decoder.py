@@ -210,8 +210,7 @@ class TestTieBreaking:
         # untrained models: every path has identical weight, so both the
         # Viterbi path and the posterior primaries must fall back to the
         # smallest tag index at every position
-        with pytest.warns(UserWarning):
-            lex = LexicalModel.train([], TS)
+        lex = LexicalModel.train([], TS)
         trans = TransitionModel.train([], TS)
         cohorts = cohorts_for_tokens(lex, [Token("x"), Token("y"), Token("z")])
         decode = decode_sentence(lex, trans, cohorts)
@@ -256,6 +255,17 @@ class TestDeadLattice:
         lex, trans = models(seed=0)
         with pytest.raises(ValueError):
             build_lattice(lex, trans, [])
+
+    def test_both_decoders_reject_an_empty_sentence_alike(self):
+        lex, trans = models(seed=0)
+        word = cohorts_for_tokens(lex, [Token("wa")])
+        for call in (
+            lambda: decode_sentence(lex, trans, []),
+            lambda: decode_corpus(lex, trans, [[]]),
+            lambda: decode_corpus(lex, trans, [word, []]),
+        ):
+            with pytest.raises(ValueError, match="^empty sentence$"):
+                call()
 
 
 class TestRetention:
@@ -450,12 +460,11 @@ class TestLatticeBlocks:
         lex, trans, cohorts = self._dense_inputs(n_tags=6, n_words=len(sets), sets=sets)
         lattice = build_lattice(lex, trans, cohorts)
         bid = trans.space.boundary_id
-        assert lattice.init.shape == (1, 1, 3)
-        assert np.array_equal(lattice.init, trans.probs[bid, bid, lattice.ids[0]][None, None])
-        assert not lattice.init.flags.writeable
         steps = lattice.steps  # entry t is the step into position t
+        assert steps[0].shape == (1, 1, 3)
+        assert np.array_equal(steps[0], trans.probs[bid, bid, lattice.ids[0]][None, None])
+        assert not steps[0].flags.writeable
         assert len(steps) == len(lattice.ids) == len(lattice.tensors) + 1
-        assert steps[0] is lattice.init
         assert all(s is t for s, t in zip(steps[1:], lattice.tensors))
         for t, step in enumerate(steps):
             assert step.shape[1:] == ((len(lattice.ids[t - 1]) if t else 1), len(lattice.ids[t]))

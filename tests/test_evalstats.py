@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,7 +311,8 @@ class TestLearningCurve:
         # primary tag is always the lowest-index word tag (here N) and the
         # error rate is exactly the share of gold tags that are not N
         corpus = self._corpus()
-        with pytest.warns(UserWarning, match="empty training corpus"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             points = learning_curve(corpus, [0], 50, seed=5, tagset=TS)
         eval_slice, _ = split_for_learning_curve(corpus, [0], 50, seed=5)
         n = TS.tag("N")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -227,13 +228,20 @@ class TestPunctuation:
 
 
 class TestDegenerate:
-    def test_empty_corpus_warns_and_is_uniform(self):
-        with pytest.warns(UserWarning, match="empty training corpus"):
+    def test_empty_corpus_is_uniform_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             model = LexicalModel.train([], TS_NV)
         for t in TS_NV.word_tags():
             assert model.priors[t.index] == 0.5
             assert model.converse_lexical_probs("anything", [t.index])[0] == pytest.approx(1.0)
         assert [t.symbol for t in model.candidate_tags("anything")] == ["N", "V"]
+
+    def test_k_zero_without_word_surfaces_defers_to_the_anchor(self):
+        # the empty suffix's run has no counts, and k = 0 gives it no weight
+        model = _train(".\t@fullstop\n", k=0.0)
+        assert model._dist_vector("walk").tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert model.converse_lexical_probs("walk", [0, 1]).tolist() == [1.0, 1.0]
 
     def test_punctuation_only_inventory_rejected(self):
         ts = parse_tagset("@dot\n@comma\n")
@@ -322,6 +330,8 @@ class TestDegenerate:
             SmoothingConfig(class_mix=1.5)
         with pytest.raises(ConfigError):
             SmoothingConfig(known_threshold=0)
+        with pytest.raises(ConfigError, match="^cutoff must be >= 0$"):
+            SmoothingConfig(cutoff=-1)
 
     @pytest.mark.parametrize("field", ["levels", "cutoff", "known_threshold"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2"])
@@ -557,7 +567,6 @@ class TestRecount:
         "empty": lambda: ([], TS_NV),
     }
 
-    @pytest.mark.filterwarnings("ignore:empty training corpus")
     @pytest.mark.parametrize("cutoff", [3, 0])
     @pytest.mark.parametrize("case", CASES)
     def test_train_equals_a_per_token_recount(self, case, cutoff):

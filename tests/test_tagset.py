@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from ambitag.corpus import Cohort
@@ -139,6 +141,19 @@ class TestRules:
         with pytest.raises(RuleError, match="->"):
             parse_rules("X Y A\n", self.ts)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X -> A\n -> B\n", "rules.txt:2: rule has empty pattern"),
+            ("X -> A high\n", "rules.txt:1: priority must be an integer, got 'high'"),
+            ("X -> A 1 2\n", "rules.txt:1: expected 'TAG [priority]' after '->'"),
+            ("# comments only\n\n", "rules.txt: no conversion rules found"),
+        ],
+    )
+    def test_malformed_rule_file_names_its_line(self, text, message):
+        with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
+            parse_rules(text, self.ts, source="rules.txt")
+
 
 class TestConvertReading:
     def setup_method(self):
@@ -147,6 +162,10 @@ class TestConvertReading:
 
     def test_subset_match(self):
         assert convert_reading(["w", "X", "Z"], self.rules, self.ts).symbol == "A"
+
+    def test_empty_reading_rejected(self):
+        with pytest.raises(ConversionError, match="^empty reading$"):
+            convert_reading([], self.rules, self.ts)
 
     def test_most_specific_wins(self):
         assert convert_reading(["w", "X", "Y"], self.rules, self.ts).symbol == "AB"
