@@ -3,11 +3,12 @@
 The section is read a slab of lines at a time: each slab is joined and
 encoded once and checked and parsed as one byte array, with no Python
 object per field.  Field boundaries come from the bytes below 33; counts
-are read as right-aligned digit columns; symbols are packed into 8-byte
-words by two aligned loads each and found through a perfect hash whose
-slot must hold exactly those words.  The pass takes only the canonical
-lines `modelfile.dumps_model` writes and otherwise returns None, leaving
-the section to `modelfile`'s per-line loop, which defines a valid line.
+are read as right-aligned digit columns; symbols are gathered as 8-byte
+words from one unaligned view that holds the word at every byte offset,
+and found through a perfect hash whose slot must hold exactly those
+words.  The pass takes only the canonical lines `modelfile.dumps_model`
+writes and otherwise returns None, leaving the section to `modelfile`'s
+per-line loop, which defines a valid line.
 """
 
 from __future__ import annotations
@@ -26,18 +27,10 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # k=8: a
 
 def _field_words(data: bytes, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
     """The fields ``data[starts[i]:ends[i]]``, each at most 8·`width` bytes,
-    as `width` little-endian uint64 words of 8 bytes each, zero-padded: made
-    from two aligned 8-byte loads per word, not byte by byte."""
-    blocks = np.frombuffer(data + bytes(16 - len(data) % 8), "<u8")
-    words = np.empty((len(starts), width), np.uint64)
-    for w in range(width):
-        lo = np.minimum(starts + 8 * w, ends)
-        shift = (lo & 7).astype(np.uint64) << np.uint64(3)
-        word = blocks[lo >> 3] >> shift
-        word |= blocks[(lo >> 3) + 1] << (np.uint64(64) - shift)  # a shift by 64 gives 0
-        word &= _LOW_BYTES[np.minimum(ends - lo, 8)]
-        words[:, w] = word
-    return words
+    as `width` little-endian uint64 words of 8 bytes each, zero-padded."""
+    at = np.ndarray(len(data) + 1, "<u8", data + bytes(8), strides=(1,))  # the word at each byte
+    lo = np.minimum(starts[:, None] + 8 * np.arange(width), ends[:, None])
+    return at[lo] & _LOW_BYTES[np.minimum(ends[:, None] - lo, 8)]
 
 
 class _SymbolTable:
@@ -102,10 +95,8 @@ def _trigram_slab(
     if len(seps) != 4 * m or (text[seps].reshape(m, 4) != _LINE_SEPS).any():
         return None
     ends = seps.reshape(m, 4)
-    starts = np.empty_like(seps)
-    starts[0] = 0
-    starts[1:] = seps[:-1] + 1
-    lens = ends - starts.reshape(m, 4)
+    starts = np.append(0, seps[:-1] + 1).reshape(m, 4)
+    lens = ends - starts
     if lens.min() < 1 or lens[:, :3].max() > symbols.max_len or lens[:, 3].max() > _MAX_DIGITS:
         return None
     # Each count right-aligned in a row of `digits` columns, left-padded with 0.
@@ -121,7 +112,7 @@ def _trigram_slab(
     running += np.uint64(total)
     if counts.min() < 1 or counts.max() >= 2**63 or running.max() >= 2**63:
         return None
-    windows = symbols.find(data, starts.reshape(m, 4)[:, :3].ravel(), ends[:, :3].ravel())
+    windows = symbols.find(data, starts[:, :3].ravel(), ends[:, :3].ravel())
     if windows is None:
         return None
     return windows.reshape(m, 3), counts.astype(np.int64), int(running[-1])

@@ -369,9 +369,9 @@ def decode_corpus(
     Cohorts with the same surface and candidate-list object (as
     `cohorts_for_tokens` gives a surface's cohorts) share one lattice
     column.  Sentences in which every word has the same candidate set are
-    batched as in the module docstring; when a lattice dies, the sentences
-    are decoded again one at a time in order, so the first that fails
-    raises its own error.
+    batched as in the module docstring; when a lattice of a corpus of
+    several sentences dies, they are decoded again one at a time in order,
+    so the first that fails raises its own error.
     """
     if not all(sentences):
         raise ValueError("empty sentence")
@@ -391,8 +391,9 @@ def decode_corpus(
             for i, decode in zip(batch, _decode(lattice, with_viterbi)):
                 out[i] = decode
     except DeadLatticeError:
-        for cohorts, row in zip(sentences, columns):
-            _decode(build_lattice(lex, trans, cohorts, columns=[row]), with_viterbi)
+        if len(sentences) > 1:  # a lone sentence's error is already its own
+            for cohorts, row in zip(sentences, columns):
+                _decode(build_lattice(lex, trans, cohorts, columns=[row]), with_viterbi)
         raise
     return out
 

@@ -169,8 +169,6 @@ def oracle_viterbi(model: SyntheticHMM, surfaces: list[str]) -> list[int]:
         backptr[t, :n] = combined.argmax(axis=0)
         score = np.full((n + 1, n), -np.inf)
         score[:n] = best + log_emit[:, obs[t]][None, :]
-    # Constant termination factor (same for every path of this length).
-    score = score + np.log(model.p_end)
     flat = int(score.argmax())
     b_idx, c_idx = divmod(flat, n)
     rev = [c_idx]

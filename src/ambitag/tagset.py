@@ -232,7 +232,10 @@ def parse_analysis_blocks(text: str, source: str = "<string>") -> list[list[tupl
         current: list[tuple[str, list[list[str]]]] = []
         for lineno, line in block:
             if not line[0].isspace():
-                current.append((line.strip(), []))
+                token = line.strip()
+                if "\t" in token:  # a cohort line's field separator
+                    raise ConversionError(f"{source}:{lineno}: token {token!r} holds a tab")
+                current.append((token, []))
             elif not current:
                 raise ConversionError(
                     f"{source}:{lineno}: reading line before any token line"

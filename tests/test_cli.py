@@ -876,6 +876,16 @@ class TestConvert:
         assert rc == 2
         assert "ZZZ" in capsys.readouterr().err
 
+    def test_token_holding_a_tab_is_exit_2(self, ws, capsys):
+        # its cohort line would read as two surfaces, which `tag` refuses
+        (ws / "analysis.txt").write_text("the\tend\n  DET CENTRAL ART SG/PL\n", encoding="utf-8")
+        rc = main(["convert", str(ws / "analysis.txt")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "analysis.txt:1: token 'the\\tend' holds a tab" in err
+
 
 class TestGenSynth:
     def test_generates_parseable_corpus(self, ws):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import ambitag
 from ambitag.corpus import (
     AnnotatedSentence,
+    Cohort,
     Token,
     format_annotated,
     format_cohorts,
@@ -105,6 +106,10 @@ class TestCohorts:
             parse_cohorts("walk\n", ts)
         with pytest.raises(CorpusFormatError):
             parse_cohorts("walk\t\n", ts)
+
+    def test_cohort_without_candidates_rejected(self):
+        with pytest.raises(ValueError, match="^cohort for 'walk' has no candidates$"):
+            Cohort(Token("walk"), [])
 
     def test_candidate_order_preserved(self, ts):
         sents = parse_cohorts("w\tV-INF V-IMP\n", ts)

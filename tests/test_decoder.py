@@ -245,6 +245,24 @@ class TestDeadLattice:
         with pytest.raises(DeadLatticeError):
             viterbi(build_lattice(lex, trans, cohorts))
 
+    def test_a_lone_dead_sentence_is_decoded_once(self, monkeypatch):
+        lex, trans = self._sparse_models()
+        a = TS.tag("A")
+        calls = []
+        real_forward = decoder.forward
+
+        def spy(lattice):
+            calls.append(len(lattice.cohorts))
+            return real_forward(lattice)
+
+        monkeypatch.setattr(decoder, "forward", spy)
+        cohorts = [Cohort(Token("aa"), [a]), Cohort(Token("aa"), [a])]
+        for with_viterbi in (False, True):
+            calls.clear()
+            with pytest.raises(DeadLatticeError, match=r"position 2 \('aa'\)"):
+                decode_sentence(lex, trans, cohorts, with_viterbi)
+            assert calls == [1]
+
     def test_zero_lexical_score_kills_position_one(self):
         lex, trans = self._sparse_models()
         cohorts = [Cohort(Token("aa"), [TS.tag("B")])]
@@ -255,6 +273,21 @@ class TestDeadLattice:
         lex, trans = models(seed=0)
         with pytest.raises(ValueError):
             build_lattice(lex, trans, [])
+
+    def test_a_batch_takes_its_sentences_longest_first(self):
+        lex, trans = models(seed=0)
+        short, long = (cohorts_for_tokens(lex, [Token("wa")] * n) for n in (1, 2))
+        build_lattice(lex, trans, long, short)
+        with pytest.raises(ValueError, match="^a batch takes its sentences longest first$"):
+            build_lattice(lex, trans, short, long)
+
+    def test_the_sentences_of_a_batch_share_each_positions_candidates(self):
+        lex, trans = models(seed=0)
+        a, b = TS.tag("A"), TS.tag("B")
+        first = [Cohort(Token("wa"), [a, b]), Cohort(Token("wb"), [a])]
+        build_lattice(lex, trans, first, [Cohort(Token("wc"), [a, b]), Cohort(Token("wd"), [a])])
+        with pytest.raises(ValueError, match="must share each position's candidates"):
+            build_lattice(lex, trans, first, [Cohort(Token("wc"), [a, b]), Cohort(Token("wd"), [b])])
 
     def test_both_decoders_reject_an_empty_sentence_alike(self):
         lex, trans = models(seed=0)

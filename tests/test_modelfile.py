@@ -677,6 +677,31 @@ def trigram_sections(draw):
     return _with_block(text, block, newline), tagset, draw(st.sampled_from([1, 2, 5, 2048]))
 
 
+@st.composite
+def byte_fields(draw):
+    """Bytes, a word count and fields of at most that many 8-byte words,
+    one of which ends at the last byte."""
+    data = draw(st.binary(max_size=40))
+    width = draw(st.integers(1, 3))
+    lengths = st.integers(0, 8 * width)
+    starts = draw(st.lists(st.integers(0, len(data)), max_size=6))
+    ends = [min(start + draw(lengths), len(data)) for start in starts]
+    starts.append(max(0, len(data) - draw(lengths)))
+    ends.append(len(data))
+    return data, np.array(starts), np.array(ends), width
+
+
+class TestFieldWords:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=byte_fields())
+    def test_words_are_the_zero_padded_bytes_of_each_field(self, case):
+        data, starts, ends, width = case
+        padded = b"".join(data[s:e].ljust(8 * width, b"\0") for s, e in zip(starts, ends))
+        want = np.frombuffer(padded, "<u8").reshape(len(starts), width)
+        got = bulkparse._field_words(data, starts, ends, width)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
 class TestTrigramBulkPass:
     """The bulk pass reads the trigram section exactly as the per-line loop
     does, or declines and leaves it to the loop."""
@@ -757,6 +782,17 @@ class TestTrigramBulkPass:
             lex, trans = loads_model(text)
         assert dumps_model(lex, trans) == text
         assert _load_outcome(text) == _line_loop_outcome(text)
+
+    def test_symbols_without_distinct_slots_leave_the_section_to_the_loop(self):
+        tagset = build_synthetic_hmm(n_tags=60, vocab=60).tagset
+        text = _model_on(tagset)
+        _, block, _ = _trigram_block(text)
+        collide = lambda self, keys: np.zeros(len(keys), np.uint64)  # noqa: E731
+        with mock.patch.object(bulkparse._SymbolTable, "_slots", collide):
+            assert bulk_trigrams(block, StateSpace(tagset).ids) is None
+            looped = _load_outcome(text)
+            assert dumps_model(*loads_model(text)) == text
+        assert looped == _load_outcome(text)
 
     def test_unknown_symbol_and_bad_count_keep_their_located_messages(self):
         head, block, _ = _trigram_block(DUMP)

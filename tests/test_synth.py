@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -120,6 +121,18 @@ class TestOracle:
         model = build_synthetic_hmm(n_tags=3, vocab=8, seed=1)
         path = oracle_viterbi(model, [model.words[0]])
         assert len(path) == 1 and 0 <= path[0] < 3
+
+    def test_no_end_probability_leaves_the_paths_unchanged(self):
+        # p_end is one factor on every path of a given length, so a model
+        # that never ends a sentence (mean_len=inf) has the same best paths
+        model = build_synthetic_hmm(n_tags=6, vocab=60, seed=3)
+        capped = dataclasses.replace(model, p_end=0.0)
+        corpus = sample_corpus(model, 500, seed=4)
+        for sent in corpus:
+            surfaces = [t.surface for t in sent.tokens]
+            assert oracle_viterbi(capped, surfaces) == oracle_viterbi(model, surfaces)
+        assert oracle_error_rate(capped, corpus) == oracle_error_rate(model, corpus)
+        assert oracle_error_rate(model, corpus) < 0.5
 
     def test_oracle_beats_majority_baseline(self):
         model = build_synthetic_hmm(n_tags=10, vocab=400, seed=0)
