@@ -4,7 +4,8 @@ Subcommands: train, tag, eval, sweep, curve, agree, convert, gen-synth.
 Exit codes: 0 success, 1 runtime failure (e.g. dead lattice), 2 invalid
 input or configuration.  Flags override values from an optional
 ``key = value`` config file; the effective configuration is echoed as a
-comment header in every report.  `evalstats` and `synth` are imported by
+comment header in every report, where `eval` and `sweep` echo the
+smoothing values the model holds.  `evalstats` and `synth` are imported by
 the commands that run them, so `train` and `tag` never load them.
 """
 
@@ -84,6 +85,12 @@ class RunConfig:
             f.name: getattr(self, "k_lex" if f.name == "k" else f.name)
             for f in dataclasses.fields(SmoothingConfig)
         })
+
+    def with_model(self, lex: LexicalModel, trans: TransitionModel) -> RunConfig:
+        """These settings with the smoothing values a loaded model decodes with."""
+        held = {"k_lex" if f.name == "k" else f.name: getattr(lex.config, f.name)
+                for f in dataclasses.fields(SmoothingConfig)}
+        return dataclasses.replace(self, k_trans=trans.k, **held)
 
     def header(self) -> str:
         pairs = " ".join(
@@ -182,7 +189,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lex, trans = load_model(args.model)
     gold = corpus_io.read_annotated(args.input, lex.tagset)
     rep = evalstats.score(gold, lex, trans, cfg.threshold, cfg.mode)
-    corpus_io.write_text(_report_text(cfg, rep, args.format), args.out or sys.stdout)
+    corpus_io.write_text(_report_text(cfg.with_model(lex, trans), rep, args.format), args.out or sys.stdout)
     return 0
 
 
@@ -209,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gold, lex, trans, _parse_thresholds(args.thresholds), cfg.mode
     )
     body = table.to_csv() if args.format == "csv" else table.to_table()
-    corpus_io.write_text(cfg.header() + body, args.out or sys.stdout)
+    corpus_io.write_text(cfg.with_model(lex, trans).header() + body, args.out or sys.stdout)
     return 0
 
 

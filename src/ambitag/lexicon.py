@@ -1,10 +1,11 @@
 """Suffix-indexed lexicon: smoothed P(tag | word) and the relative
 lexical scores P(tag | word) / P(tag) the decoder consumes.
 
-The word counts, {surface: {tag id: count}}, are held once, as the arrays
-of a `SurfaceTable`: the surfaces spelt backwards in sorted order, which is
-the order the model file's trie section lists them in, and each one's tag
-ids and counts in CSR form.  The surfaces that end in a suffix are then one
+The counts, {surface: {tag id: count}}, are held once, as the arrays of
+two `SurfaceTable`s, one for word surfaces and one for punctuation
+surfaces: the surfaces spelt backwards in sorted order, which is the order
+the model file's trie section lists them in, and each one's tag ids and
+counts in CSR form.  The word surfaces that end in a suffix are then one
 contiguous run of that order, found by bisection, and so is whether the
 suffix branches.  A suffix's counts are summed over its run the first time
 a lookup asks for them and cached per run, so the cache holds at most one
@@ -15,8 +16,9 @@ P_s(x) = (c(s,x) + k * P_shorter(x)) / (c(s) + k).  Known words blend
 their own counts with the nearest branching suffixes, those that two or
 more table suffixes extend by one character or that are themselves
 surfaces; unknown words blend every suffix they share with the table and
-are then mixed with a shape-class distribution.  Punctuation surfaces
-bypass the index entirely (exact-match table).
+are then mixed with a shape-class distribution.  A punctuation surface
+is looked up by exact match in its own table, and its counts alone give
+its distribution.
 """
 
 from __future__ import annotations
@@ -73,21 +75,15 @@ class SmoothingConfig:
             raise ConfigError("class_mix must be in [0, 1]")
 
 
-def _check_counts(surface: str, counts: Mapping[int, int]) -> None:
-    if not counts or min(counts.values()) < 1 or max(counts.values()) >= 2**63:
-        raise InputError(f"surface {surface!r} needs counts, each a positive integer below 2^63")
-
-
 class SurfaceTable(Mapping):
-    """The word counts, a read-only {surface: {tag id: count}}, as arrays.
+    """Surface counts, a read-only {surface: {tag id: count}}, as arrays.
 
     ``reversed`` holds each surface spelt backwards, in sorted order, so
-    that the surfaces ending in one suffix are one contiguous run of rows.
-    Row i's tag ids, ascending, are ``ids[starts[i]:starts[i + 1]]`` and its
-    counts the same slice of ``counts``: int64, or Python ints once all the
-    counts together reach 2^63, so that every sum over rows is exact.
-    ``rank`` gives each row's place in the order the surfaces were given,
-    None if that is the sorted order; the mapping iterates in that order.
+    that the surfaces ending in one suffix are one contiguous run of rows;
+    the mapping iterates in that order.  Row i's tag ids, ascending, are
+    ``ids[starts[i]:starts[i + 1]]`` and its counts the same slice of
+    ``counts``: int64, or Python ints once all the counts together reach
+    2^63, so that every sum over rows is exact.
     """
 
     def __init__(
@@ -96,39 +92,39 @@ class SurfaceTable(Mapping):
         starts: list[int],
         ids: list[int],
         counts: list[int],
-        rank: list[int] | None = None,
     ):
         self.reversed = reversed_surfaces
         self.starts = np.array(starts, np.intp)
         self.ids = np.array(ids, np.intp)
         self.counts = np.array(counts, np.int64 if sum(counts) < 2**63 else object)
-        self.rank = None if rank is None else np.array(rank, np.intp)
 
     @classmethod
     def from_dict(cls, surfaces: Mapping[str, Mapping[int, int]]) -> "SurfaceTable":
         """As in a model file, no surface may be empty and each needs
         counts, each a positive integer below 2^63."""
         if "" in surfaces:
-            raise InputError("a word surface cannot be empty")
-        for surface, counts in surfaces.items():
-            _check_counts(surface, counts)
-        given = [surface[::-1] for surface in surfaces]
-        rank = sorted(range(len(given)), key=given.__getitem__)
-        rows = list(surfaces.values())
+            raise InputError("a lexicon surface cannot be empty")
+        reversed_surfaces = sorted(surface[::-1] for surface in surfaces)
         starts, ids, counts = [0], [], []
-        for i in rank:
-            tags = sorted(rows[i])
+        for rev in reversed_surfaces:
+            surface = rev[::-1]
+            row = surfaces[surface]
+            if not row or min(row.values()) < 1 or max(row.values()) >= 2**63:
+                raise InputError(f"surface {surface!r} needs counts, each a positive integer below 2^63")
+            tags = sorted(row)
             ids += tags
-            counts += [int(rows[i][t]) for t in tags]
+            counts += [int(row[t]) for t in tags]
             starts.append(len(ids))
-        return cls([given[i] for i in rank], starts, ids, counts, rank)
+        return cls(reversed_surfaces, starts, ids, counts)
 
     def __len__(self) -> int:
         return len(self.reversed)
 
     def __iter__(self):
-        rows = range(len(self)) if self.rank is None else np.argsort(self.rank).tolist()
-        return (self.reversed[i][::-1] for i in rows)
+        return (rev[::-1] for rev in self.reversed)
+
+    def __contains__(self, surface: str) -> bool:
+        return self.row(surface) is not None
 
     def __getitem__(self, surface: str) -> dict[int, int]:
         i = self.row(surface)
@@ -174,34 +170,25 @@ class LexicalModel:
         priors: np.ndarray,
         punct_priors: np.ndarray,
         class_dists: dict[str, np.ndarray],
-        punct_table: dict[str, dict[int, int]],
-        surfaces: Mapping[str, Mapping[int, int]] | SurfaceTable,
+        punct_table: SurfaceTable,
+        surfaces: SurfaceTable,
     ):
-        """`surfaces` maps each word surface to its {tag id: count}; a dict is
-        copied into a `SurfaceTable`.  `priors` and `punct_priors` are each
-        tag family's priors.  As in a model file, each surface needs counts,
-        each a positive integer below 2^63, and no word surface may be empty.
-        A tag with zero prior in its own family may have no count and no
-        class-distribution mass, so every lookup's P(tag | word) / P(tag) is
-        defined; the first surface, in the order given, that counts such a
-        tag is named with the smallest such tag."""
-        if not isinstance(surfaces, SurfaceTable):
-            surfaces = SurfaceTable.from_dict(surfaces)
+        """`surfaces` holds each word surface's {tag id: count} and
+        `punct_table` each punctuation surface's.  `priors` and
+        `punct_priors` are each tag family's priors.  A tag with zero prior
+        in its own family may have no count and no class-distribution mass,
+        so every lookup's P(tag | word) / P(tag) is defined; the first
+        surface, in table order, that counts such a tag is named with the
+        smallest such tag."""
         word_ids = _word_tag_ids(tagset)
         tag_priors = punct_priors.copy()  # each tag's prior from its own family
         tag_priors[word_ids] = priors[word_ids]
         zero = tag_priors == 0.0
-        bad = np.flatnonzero(zero[surfaces.ids])
-        if bad.size:
-            rows = np.searchsorted(surfaces.starts, bad, "right") - 1
-            first = int(np.argmin(rows if surfaces.rank is None else surfaces.rank[rows]))
-            surface = surfaces.reversed[rows[first]][::-1]
-            raise _zero_prior(tagset, int(surfaces.ids[bad[first]]), "word surface", surface)
-        unset = set(np.flatnonzero(zero).tolist())
-        for surface, counts in punct_table.items():
-            _check_counts(surface, counts)
-            if not unset.isdisjoint(counts):
-                raise _zero_prior(tagset, min(unset.intersection(counts)), "punct-table surface", surface)
+        for source, table in (("word surface", surfaces), ("punct-table surface", punct_table)):
+            bad = np.flatnonzero(zero[table.ids])
+            if bad.size:
+                row = int(np.searchsorted(table.starts, bad[0], "right")) - 1
+                raise _zero_prior(tagset, int(table.ids[bad[0]]), source, table.reversed[row][::-1])
         for name, dist in class_dists.items():
             bad = np.flatnonzero(zero & (dist > 0.0))
             if bad.size:
@@ -296,7 +283,10 @@ class LexicalModel:
             SHAPE_ALL_CAPS: allcaps / allcaps.sum() if allcaps.sum() > 0 else infreq_dist.copy(),
             "infrequent": infreq_dist,
         }
-        return cls(tagset, config, priors, punct_priors, class_dists, punct_table, surface_tags)
+        return cls(
+            tagset, config, priors, punct_priors, class_dists,
+            SurfaceTable.from_dict(punct_table), SurfaceTable.from_dict(surface_tags),
+        )
 
     # -- lookup ------------------------------------------------------------
 
@@ -361,11 +351,11 @@ class LexicalModel:
         cached = self._dist_cache.get(surface)
         if cached is not None:
             return cached
-        if surface in self.punct_table:
-            counts = self.punct_table[surface]
+        punct = self.punct_table.row(surface)
+        if punct is not None:
+            a, b = self.punct_table.starts[punct : punct + 2]
             v = np.zeros(len(self.tagset))
-            for t, c in counts.items():
-                v[t] = c
+            v[self.punct_table.ids[a:b]] = self.punct_table.counts[a:b]
             v /= v.sum()
         elif self.is_known(surface):
             # Blend the nearest `levels` strict suffixes that branch, shortest
@@ -415,7 +405,7 @@ class LexicalModel:
         return [tags[i] for i in idx[np.argsort(-v[idx], kind="stable")].tolist()]
 
     def is_known(self, surface: str) -> bool:
-        if surface in self.punct_table:
-            return True
         row = self.surfaces.row(surface)
-        return row is not None and self._before[row + 1] - self._before[row] >= self.config.known_threshold
+        if row is not None and self._before[row + 1] - self._before[row] >= self.config.known_threshold:
+            return True
+        return surface in self.punct_table

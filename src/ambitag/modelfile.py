@@ -8,15 +8,16 @@ Floats are written with repr() so reloading is exact and re-serialization
 is byte-identical.  The lexicon's ``config`` line holds ``name value`` for
 each `SmoothingConfig` field in order, the name's ``_`` written ``-`` and
 the value with str(), which is repr() for a float and plain for a numpy
-scalar.  The
-trie section is written from the lexicon's `SurfaceTable`, one line per
-node of the reversed surfaces' trie, in the table's own sorted order, and
-read back into such a table; no trie is kept.  Trigram lines are written
+scalar.  The punct-table and trie sections are written from the lexicon's
+two `SurfaceTable`s and read back into such tables, the trie section with
+one line per node of the reversed surfaces' trie, in the table's own
+sorted order; no trie is kept.  Trigram lines are written
 sorted and distinct, trie lines once per node and punct-table lines once
 per surface; on load, repeated trigrams, trie
 surfaces, punct-table surfaces and tags on one line all sum.  A trie line
-with neither counts nor children, or a punct-table line with no counts, is
-rejected.  Every count is a positive integer below 2^63, and so is the sum
+with neither counts nor children, or a punct-table line with no counts
+or with an empty surface, is rejected.  Every count is a positive integer
+below 2^63, and so is the sum
 of the trigram counts, merged as int64, and each tag's count merged within
 a trie or punct-table surface.  A tag whose prior in its own family is 0
 may have no trie or punct-table count and no mass in a class
@@ -124,8 +125,7 @@ def dumps_model(lex: LexicalModel, trans: TransitionModel) -> str:
         lines += _dist_lines(f"class {name}", lex.class_dists[name], symbols)
     lines.append(f"punct-table {len(lex.punct_table)}")
     for surface in sorted(lex.punct_table):
-        row = lex.punct_table[surface]
-        pairs = " ".join(f"{symbols[t]} {row[t]}" for t in sorted(row))
+        pairs = " ".join(f"{symbols[t]} {c}" for t, c in lex.punct_table[surface].items())  # tags ascend
         line = f"{surface}\t{pairs}"
         # punct-table surfaces are written raw, so they must read back as written
         if "\t" in surface or line.splitlines() != [line]:
@@ -261,28 +261,31 @@ def _read_config(lines: _Lines) -> SmoothingConfig:
 
 def _read_punct_table(
     lines: _Lines, lookup: dict[str, int], where: _Where | None = None
-) -> dict[str, dict[int, int]]:
-    """Each line is ``surface<TAB>(tag count)*``; a repeated surface sums.
-    `where`, if given, gets the line of each count."""
+) -> SurfaceTable:
+    """Each line is ``surface<TAB>(tag count)*`` with a surface that is not
+    empty; a repeated surface sums.  `where`, if given, gets the line of
+    each count."""
     table: dict[str, dict[int, int]] = {}
     entries = lines.numbered(lines.count("punct-table "))
     try:
         for lineno, line in entries:
             surface, rest = line.split("\t", 1)
             fields = rest.split()
+            if not surface:
+                raise ModelFormatError("punct-table entry has an empty surface")
             if not fields:
                 raise ModelFormatError("punct-table entry has no counts")
             _term_counts(fields, lookup, table, surface, where, lineno)
     except _PARSE_ERRORS as exc:
         raise _located(exc, lineno, line, "punct-table entry") from None
-    return table
+    return SurfaceTable.from_dict(table)
 
 
 def _read_trie_lines(
     entries: enumerate, lookup: dict[str, int], where: _Where | None = None
-) -> dict[str, dict[int, int]]:
+) -> SurfaceTable:
     """The numbered lines of a pre-order trie dump, each ``depth char (tag
-    count)*``, as {surface: {tag id: count}} over the lines with counts; a
+    count)*``, as the table of the surfaces on the lines with counts; a
     repeated surface sums.  `where`, if given, gets the line of each count.
     This loop defines a valid line."""
     table: dict[str, dict[int, int]] = {}
@@ -306,7 +309,7 @@ def _read_trie_lines(
         raise _located(exc, lineno, line, "trie line") from None
     if bare:
         raise ModelFormatError(f"line {bare}: trie node has neither counts nor children")
-    return table
+    return SurfaceTable.from_dict(table)
 
 
 def _bulk_trie(block: list[str], lookup: dict[str, int]) -> SurfaceTable | None:

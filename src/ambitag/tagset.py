@@ -223,18 +223,20 @@ def convert_cohort(
 
 def parse_analysis_blocks(text: str, source: str = "<string>") -> list[list[tuple[str, list[list[str]]]]]:
     """Parse analyser-style output: a flush-left token line followed by
-    indented reading lines.  Blank lines separate sentences.
+    one or more indented reading lines.  Blank lines separate sentences.
 
     Returns sentences as lists of (token, readings) pairs.
     """
     sentences: list[list[tuple[str, list[list[str]]]]] = []
     for block in blocks(text):
         current: list[tuple[str, list[list[str]]]] = []
-        for lineno, line in block:
+        for i, (lineno, line) in enumerate(block):
             if not line[0].isspace():
                 token = line.strip()
                 if "\t" in token:  # a cohort line's field separator
                     raise ConversionError(f"{source}:{lineno}: token {token!r} holds a tab")
+                if i + 1 == len(block) or not block[i + 1][1][0].isspace():  # no reading line under it
+                    raise ConversionError(f"{source}:{lineno}: token {token!r} has no readings")
                 current.append((token, []))
             elif not current:
                 raise ConversionError(
@@ -243,8 +245,4 @@ def parse_analysis_blocks(text: str, source: str = "<string>") -> list[list[tupl
             else:
                 current[-1][1].append(line.split())
         sentences.append(current)
-    for sent in sentences:
-        for token, readings in sent:
-            if not readings:
-                raise ConversionError(f"{source}: token {token!r} has no readings")
     return sentences

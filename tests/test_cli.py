@@ -621,6 +621,32 @@ class TestEval:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+class TestReportHeaderEchoesTheModel:
+    """`eval` and `sweep` decode with the smoothing values the model holds,
+    so their headers echo those, not the run's defaults."""
+
+    def header(self, ws, capsys, command, model) -> str:
+        capsys.readouterr()  # drop the training report
+        assert main([command, str(ws / "train.txt"), "--model", model, "--format", "csv"]) == 0
+        return capsys.readouterr().out.splitlines()[0] + "\n"
+
+    def test_a_model_trained_with_the_defaults_echoes_the_defaults(self, ws, capsys, command):
+        assert self.header(ws, capsys, command, train_model(ws)) == RunConfig().header()
+
+    def test_a_model_trained_with_other_values_echoes_them(self, ws, capsys, command):
+        model = train_model(
+            ws, "--support-epsilon", "0.01", "--k-lex", "0.5", "--k-trans", "2.5", "--levels", "3",
+            "--cutoff", "1", "--known-threshold", "2", "--class-mix", "0.25",
+        )
+        want = RunConfig(
+            k_lex=0.5, k_trans=2.5, levels=3, cutoff=1, known_threshold=2,
+            support_epsilon=0.01, class_mix=0.25,
+        )
+        assert self.header(ws, capsys, command, model) == want.header()
+        assert "support_epsilon=0.01 " in want.header()
+
+
 class TestSweep:
     def test_rows_and_monotonicity(self, ws):
         model = train_model(ws)
@@ -875,6 +901,20 @@ class TestConvert:
         rc = main(["convert", str(ws / "analysis.txt")])
         assert rc == 2
         assert "ZZZ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("the\n  the DET CENTRAL ART SG/PL\nblob\n", 3),  # at the end of the file
+            ("the\n  the DET CENTRAL ART SG/PL\nblob\nwalk\n  walk V INF\n", 3),  # mid-sentence
+            ("blob\n\nthe\n  the DET CENTRAL ART SG/PL\n", 1),  # at a sentence's end
+        ],
+    )
+    def test_token_without_readings_names_its_line(self, ws, capsys, text, lineno):
+        (ws / "analysis.txt").write_text(text, encoding="utf-8")
+        rc = main(["convert", str(ws / "analysis.txt")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {ws / 'analysis.txt'}:{lineno}: token 'blob' has no readings\n")
 
     def test_token_holding_a_tab_is_exit_2(self, ws, capsys):
         # its cohort line would read as two surfaces, which `tag` refuses

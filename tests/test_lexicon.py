@@ -4,6 +4,7 @@ import random
 import re
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import apply_threshold, cohorts_for_tokens, decode_sentence
 from ambitag.errors import ConfigError, InputError, TagInventoryError
-from ambitag.lexicon import LexicalModel, SmoothingConfig
+from ambitag.lexicon import LexicalModel, SmoothingConfig, SurfaceTable
 from ambitag.modelfile import dumps_model, loads_model
 from ambitag.ngram import TransitionModel
 from ambitag.synth import build_synthetic_hmm, sample_corpus
@@ -48,8 +49,8 @@ def _train(text: str, ts=TS_NV, **cfg) -> LexicalModel:
 def bare_model(ts, priors, **cfg) -> LexicalModel:
     """A model with the given word-tag priors, no class distributions and
     an empty suffix table."""
-    n = len(ts)
-    return LexicalModel(ts, SmoothingConfig(**cfg), np.array(priors), np.zeros(n), {}, {}, {})
+    n, empty = len(ts), SurfaceTable.from_dict({})
+    return LexicalModel(ts, SmoothingConfig(**cfg), np.array(priors), np.zeros(n), {}, empty, empty)
 
 
 def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
@@ -60,9 +61,24 @@ def hand_model(k=1.0, class_mix=0.0) -> LexicalModel:
     dists = {n: anchor.copy() for n in ("capitalized", "all-caps", "infrequent")}
     config = SmoothingConfig(k=k, class_mix=class_mix)
     priors = np.array([0.75, 0.25])
-    model = LexicalModel(TS2, config, priors, np.zeros(2), dists, {}, {"xa": {0: 3}, "s": {1: 1}})
+    table = SurfaceTable.from_dict({"xa": {0: 3}, "s": {1: 1}})
+    model = LexicalModel(TS2, config, priors, np.zeros(2), dists, SurfaceTable.from_dict({}), table)
     assert list(model._anchor) == list(anchor)
     return model
+
+
+class TestSurfaceTable:
+    @pytest.mark.parametrize("table", [{}, {"walk": {0: 1}, "talk": {1: 2}, "k": {0: 1}}], ids=["empty", "three"])
+    def test_membership_is_a_row_lookup(self, table):
+        surfaces = SurfaceTable.from_dict(table)
+        with mock.patch.object(SurfaceTable, "__getitem__", side_effect=AssertionError):
+            for surface in ["walk", "talk", "k", "alk", "", "walks", "a", "\U0010ffff"]:
+                assert (surface in surfaces) == (surfaces.row(surface) is not None) == (surface in table)
+
+    def test_iterates_in_table_order(self):
+        surfaces = SurfaceTable.from_dict({"ab": {0: 1}, "ba": {1: 1}, "b": {0: 2}})
+        assert list(surfaces) == ["ba", "b", "ab"]  # spelt backwards they sort "ab" < "b" < "ba"
+        assert surfaces.reversed == ["ab", "b", "ba"]
 
 
 class TestBlendByHand:
@@ -285,7 +301,7 @@ class TestDegenerate:
         def build():
             return LexicalModel(
                 TS_NV, SmoothingConfig(), priors, punct_priors, dists,
-                tables["punct_table"], tables["surfaces"],
+                SurfaceTable.from_dict(tables["punct_table"]), SurfaceTable.from_dict(tables["surfaces"]),
             )
 
         build()  # every source consistent
@@ -298,15 +314,12 @@ class TestDegenerate:
             build()
 
     def test_empty_surface_is_refused(self):
-        n, v = TS_NV.tag("N"), TS_NV.tag("V")
-        corpus = [AnnotatedSentence([Token(""), Token("a")], [n, v])]
-        with pytest.raises(InputError, match="empty"):
-            LexicalModel.train(corpus, TS_NV)
-        with pytest.raises(InputError, match="empty"):
-            LexicalModel(
-                TS_NV, SmoothingConfig(), np.array([0.5, 0.5, 0.0, 0.0]), np.zeros(4), {}, {},
-                {"a": {v.index: 1}, "": {n.index: 1}},
-            )
+        for tag in ("N", "@fullstop"):  # a word surface and a punctuation surface alike
+            corpus = [AnnotatedSentence([Token(""), Token("a")], [TS_NV.tag(tag), TS_NV.tag("V")])]
+            with pytest.raises(InputError, match="^a lexicon surface cannot be empty$"):
+                LexicalModel.train(corpus, TS_NV)
+        with pytest.raises(InputError, match="^a lexicon surface cannot be empty$"):
+            SurfaceTable.from_dict({"a": {0: 1}, "": {1: 1}})
 
     @pytest.mark.parametrize("row", [{}, {0: 2, 1: 0}, {0: 2**63}])
     @pytest.mark.parametrize("table, surface", [("surfaces", "a"), ("punct_table", ".")])
@@ -316,8 +329,8 @@ class TestDegenerate:
         tables[table][surface] = row
         with pytest.raises(InputError, match=f"surface '{surface}' needs counts"):
             LexicalModel(
-                TS_NV, SmoothingConfig(), np.array([0.5, 0.5, 0.0, 0.0]),
-                np.array([0.0, 0.0, 0.5, 0.5]), {}, tables["punct_table"], tables["surfaces"],
+                TS_NV, SmoothingConfig(), np.array([0.5, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 0.5, 0.5]), {},
+                SurfaceTable.from_dict(tables["punct_table"]), SurfaceTable.from_dict(tables["surfaces"]),
             )
 
     def test_config_validation(self):
@@ -468,7 +481,8 @@ class TestTrieStructure:
         priors = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
         dists = {name: priors.copy() for name in ("capitalized", "all-caps", "infrequent")}
         config = SmoothingConfig(k=k, levels=levels, known_threshold=2)
-        model = LexicalModel(TS_TABLE, config, priors, np.zeros(5), dists, {}, table)
+        empty = SurfaceTable.from_dict({})
+        model = LexicalModel(TS_TABLE, config, priors, np.zeros(5), dists, empty, SurfaceTable.from_dict(table))
         twin, _ = loads_model(dumps_model(model, TransitionModel(TS_TABLE)))
         assert twin.surfaces == model.surfaces == table
         suffixes = {w[i:] for w in table for i in range(len(w) + 1)}
@@ -579,11 +593,13 @@ class TestRecount:
         assert list(lex.class_dists) == list(want["class_dists"])
         for name, dist in want["class_dists"].items():
             assert np.array_equal(lex.class_dists[name], dist), name
-        assert list(lex.punct_table.items()) == list(want["punct_table"].items())
-        assert list(lex.surfaces.items()) == list(want["surfaces"].items())
+        for name in ("punct_table", "surfaces"):
+            table = getattr(lex, name)
+            assert table == want[name]
+            assert list(table) == sorted(want[name], key=lambda surface: surface[::-1])
         recounted = LexicalModel(
             ts, config, want["priors"], want["punct_priors"], want["class_dists"],
-            want["punct_table"], want["surfaces"],
+            SurfaceTable.from_dict(want["punct_table"]), SurfaceTable.from_dict(want["surfaces"]),
         )
         trans = TransitionModel(ts)
         assert dumps_model(lex, trans) == dumps_model(recounted, trans)

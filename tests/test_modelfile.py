@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from ambitag.corpus import AnnotatedSentence, Token, parse_annotated
 from ambitag.decoder import cohorts_for_tokens, decode_sentence
 from ambitag.errors import InputError, ModelFormatError, TagInventoryError
-from ambitag.lexicon import LexicalModel, SmoothingConfig
+from ambitag.lexicon import LexicalModel, SmoothingConfig, SurfaceTable
 from ambitag import bulkparse, modelfile
 from ambitag.bulkparse import bulk_trigrams
 from ambitag.modelfile import (
@@ -232,7 +232,7 @@ class TestRoundTrip:
             dumps_model(lex, TransitionModel.train(corpus, TS))
         assert repr(surface) in str(exc.value)
 
-    @pytest.mark.parametrize("surface", ["", " ", " . ", "\\", "a b", "#", "\u00a0x"])
+    @pytest.mark.parametrize("surface", [" ", " . ", "\\", "a b", "#", "\u00a0x"])
     def test_odd_punct_surfaces_round_trip(self, surface):
         corpus = [AnnotatedSentence([Token("the"), Token(surface)], [TS.tag("N"), TS.tag("@dot")])]
         text = dumps_model(LexicalModel.train(corpus, TS), TransitionModel.train(corpus, TS))
@@ -268,7 +268,7 @@ class TestRoundTrip:
         base, trans = trained()
         lex = LexicalModel(
             TS, base.config, base.priors, base.punct_priors, base.class_dists,
-            base.punct_table, table,
+            base.punct_table, SurfaceTable.from_dict(table),
         )
         text = dumps_model(lex, trans)
         lines = text.splitlines()
@@ -430,6 +430,12 @@ class TestFormatErrors:
         _, trans = loads_model("\n".join(lines) + "\n")
         assert int(trans.counts.sum()) == 2**63 - 1
         assert np.isfinite(trans.probs).all()
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_empty_punct_surface_is_refused(self, offset):
+        bad, lineno = _mutated(self.dump(), "punct-table ", offset, lambda l: l[l.index("\t") :])
+        with pytest.raises(ModelFormatError, match=f"^line {lineno}: punct-table entry has an empty surface$"):
+            loads_model(bad)
 
     def test_punctuation_only_inventory(self):
         text = "\n".join([
@@ -847,6 +853,17 @@ class TestZeroPriorNamesItsLine:
             f"line {lineno}: tag @comma has zero prior but punct-table surface ',' counts it"
         )
 
+    def test_the_first_punct_surface_in_table_order_is_named(self):
+        # the file lists "ab" first, but "ba" spelt backwards sorts first
+        text = self._edited(
+            ("priors punct 2\n", "priors punct 1\n"), ("@comma 0.3333333333333333\n", ""),
+            ("punct-table 2\n,\t@comma 1\n", "punct-table 3\nab\t@comma 1\nba\t@dot 1 @comma 1\n"),
+        )
+        lineno = text.splitlines().index("ba\t@dot 1 @comma 1") + 1
+        assert self._refused(text) == (
+            f"line {lineno}: tag @comma has zero prior but punct-table surface 'ba' counts it"
+        )
+
     def test_class_distribution(self):
         text = self._edited(
             ("priors word 3\n", "priors word 2\n"), ("ADV 0.14285714285714285\npriors", "priors"),
@@ -891,9 +908,12 @@ def _table_loop_outcome(text: str) -> tuple | list:
 DUMP_LEX = trained()[0]
 ODD_TRIE_DUMP = dumps_model(
     LexicalModel(
-        TS, SmoothingConfig(), DUMP_LEX.priors, DUMP_LEX.punct_priors, DUMP_LEX.class_dists, {},
-        {"walk": {0: 3, 1: 1}, "talk": {1: 2}, "a b": {0: 1}, "tab\tk": {2: 4}, "k": {0: 1},
-         "x\\k": {1: 1}, " lk": {2: 1}, " ": {0: 2}, "真k": {0: 1, 2: 5}, "\u2028k": {1: 1}},
+        TS, SmoothingConfig(), DUMP_LEX.priors, DUMP_LEX.punct_priors, DUMP_LEX.class_dists,
+        SurfaceTable.from_dict({}),
+        SurfaceTable.from_dict({
+            "walk": {0: 3, 1: 1}, "talk": {1: 2}, "a b": {0: 1}, "tab\tk": {2: 4}, "k": {0: 1},
+            "x\\k": {1: 1}, " lk": {2: 1}, " ": {0: 2}, "真k": {0: 1, 2: 5}, "\u2028k": {1: 1},
+        }),
     ),
     TransitionModel(TS),
 )
@@ -976,6 +996,24 @@ class TestTrieBulkPass:
             lex, trans = loads_model(text)
         assert dumps_model(lex, trans) == text
         assert _table_outcome(text) == _table_loop_outcome(text)
+
+    def test_both_passes_read_equal_tables(self):
+        """One model text read as written, where the bulk pass takes the
+        trie, and respaced, where the line loops read it, holds the same
+        arrays in both of the lexicon's tables."""
+        head, block, tail = _trie_block(DUMP)
+        respaced = "\n".join(head + [line.replace(" ", "  ", 1) for line in block] + tail) + "\n"
+        assert modelfile._bulk_trie(_trie_block(respaced)[1], TS.lookup) is None
+        with mock.patch.object(modelfile, "_read_trie_lines", side_effect=AssertionError):
+            bulk, _ = loads_model(DUMP)
+        loop, _ = loads_model(respaced)
+        assert len(bulk.surfaces) == 5 and len(bulk.punct_table) == 2
+        for name in ("surfaces", "punct_table"):
+            a, b = getattr(bulk, name), getattr(loop, name)
+            assert a.reversed == b.reversed
+            for field in ("starts", "ids", "counts"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (name, field)
 
     def test_escaped_characters_take_the_bulk_pass(self):
         with mock.patch.object(modelfile, "_read_trie_lines", side_effect=AssertionError):
